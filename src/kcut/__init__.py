@@ -1,154 +1,33 @@
-"""Minimum k-cut toolkit for unweighted simple graphs and multigraphs."""
+"""Minimum k-cut toolkit for unweighted simple graphs and multigraphs.
+
+The package exports the library API below; the stages behind it live in
+their own modules (kcut.graph, kcut.sparsify, kcut.packing, kcut.tree,
+kcut.treecut, kcut.oracles) and stay importable from there.
+"""
 
 from .errors import BudgetExceeded, Infeasible, KcutError, ParseError
-from .graph import (
-    ContractionMap,
-    EdgeRecord,
-    KCutSolution,
-    MultiGraph,
-    Partition,
-    boundary,
-    connected_components,
-    contract,
-    contract_set,
-    cut_edge_set,
-    cut_value,
-    induced_subgraph,
-    min_st_cut,
-)
-from .oracles import (
-    CONDUCTANCE_BUDGET,
-    KCUT_BUDGET,
-    OracleBudget,
-    brute_min_ancestor_cut,
-    brute_min_conductance,
-    brute_min_kcut,
-    brute_tree_kcut,
-    max_edges_among,
-)
-from .packing import TreePack, crossing_edges, greedy_tree_packing, is_tight
-from .sparsify import (
-    KTIteration,
-    KTParams,
-    KTResult,
-    NIResult,
-    kt_sparsify,
-    low_conductance_cut,
-    ni_sparsify,
-)
-from .solver import (
-    SolverConfig,
-    min_kcut,
-    nontrivial_bound,
-    solve_with_stats,
-)
-from .io import (
-    build_report,
-    dumps_report,
-    gen_clique_reduction,
-    gen_random,
-    parse_graph,
-    serialize_graph,
-)
-from .cli import run_cli
-from .tree import HLD, RootedTree, build_hld, forest_components
-from .treecut import (
-    CandidateSet,
-    Coloring,
-    GPrime,
-    StateTable,
-    TrialConfig,
-    TrialSetting,
-    all_colorings,
-    branch_contraction_trial,
-    build_gprime,
-    color_trial,
-    contract_branches,
-    contract_safe_edges,
-    derived_rng,
-    eval_f,
-    eval_f_p,
-    fill_states,
-    group_components,
-    incomparable_edges,
-    knapsack_combine,
-    rank_preprocess,
-    spider_tree_cut,
-    tree_cut,
-)
+from .graph import KCutSolution, MultiGraph, Partition, cut_value
+from .io import gen_clique_reduction, gen_random, parse_graph, serialize_graph
+from .oracles import brute_min_kcut
+from .solver import SolverConfig, min_kcut, solve_with_stats
+from .treecut import TrialConfig
 
 __all__ = [
     "BudgetExceeded",
-    "CONDUCTANCE_BUDGET",
-    "CandidateSet",
-    "Coloring",
-    "ContractionMap",
-    "EdgeRecord",
-    "GPrime",
-    "HLD",
     "Infeasible",
-    "KCUT_BUDGET",
     "KCutSolution",
-    "KTIteration",
-    "KTParams",
-    "KTResult",
     "KcutError",
     "MultiGraph",
-    "NIResult",
-    "OracleBudget",
     "ParseError",
     "Partition",
-    "RootedTree",
     "SolverConfig",
-    "StateTable",
-    "TreePack",
     "TrialConfig",
-    "TrialSetting",
-    "all_colorings",
-    "boundary",
-    "branch_contraction_trial",
-    "brute_min_ancestor_cut",
-    "brute_min_conductance",
     "brute_min_kcut",
-    "brute_tree_kcut",
-    "build_gprime",
-    "build_hld",
-    "build_report",
-    "color_trial",
-    "connected_components",
-    "contract",
-    "contract_branches",
-    "contract_safe_edges",
-    "contract_set",
-    "crossing_edges",
-    "cut_edge_set",
     "cut_value",
-    "derived_rng",
-    "dumps_report",
-    "eval_f",
-    "eval_f_p",
-    "fill_states",
-    "forest_components",
     "gen_clique_reduction",
     "gen_random",
-    "greedy_tree_packing",
-    "group_components",
-    "incomparable_edges",
-    "induced_subgraph",
-    "is_tight",
-    "knapsack_combine",
-    "kt_sparsify",
-    "low_conductance_cut",
-    "max_edges_among",
     "min_kcut",
-    "min_st_cut",
-    "ni_sparsify",
-    "nontrivial_bound",
     "parse_graph",
-    "rank_preprocess",
-    "run_cli",
     "serialize_graph",
     "solve_with_stats",
-    "spider_tree_cut",
-    "tree_cut",
 ]

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -31,7 +29,7 @@ from .treecut import TrialConfig, tree_cut
 
 
 class ConfigError(ValueError):
-    """Bad flag combination, --config payload, or environment setting."""
+    """Bad flag combination or --config payload."""
 
 
 def _build_parsers() -> dict:
@@ -201,8 +199,7 @@ def _cmd_sparsify(args) -> dict:
 def _cmd_treepack(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = args.k if args.k is not None else 2
-    count = args.trials if args.trials is not None else max(
-        1, min(math.ceil(3 * k ** 3 * math.log(max(g.n, 2))), 64))
+    count = args.trials if args.trials is not None else _solver_config(args).tree_count(k, g.n)
     t0 = time.perf_counter()
     pack = greedy_tree_packing(g, count)
     t_run = time.perf_counter() - t0
@@ -288,18 +285,6 @@ _COMMANDS = {
 }
 
 
-def _check_threads() -> None:
-    raw = os.environ.get("KCUT_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError("KCUT_THREADS must be an integer, got %r" % raw)
-    if value < 0:
-        raise ConfigError("KCUT_THREADS must be nonnegative")
-
-
 USAGE = "usage: kcut {%s} [options] [path]\n" % ",".join(_COMMANDS)
 
 
@@ -317,7 +302,6 @@ def run_cli(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        _check_threads()
         report = _COMMANDS[command](args)
     except ParseError as e:
         print("error: %s" % e, file=sys.stderr)

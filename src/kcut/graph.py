@@ -9,16 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Tuple
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    """One edge occurrence; endpoints are an unordered pair."""
-
-    id: int
-    u: int
-    v: int
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
 class MultiGraph:
@@ -64,9 +55,6 @@ class MultiGraph:
     def endpoints(self, eid: int) -> Tuple[int, int]:
         return self._ends[eid]
 
-    def edges(self) -> List[EdgeRecord]:
-        return [EdgeRecord(eid, *self._ends[eid]) for eid in self._ids]
-
     def incident(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
 
@@ -81,9 +69,6 @@ class MultiGraph:
     def other(self, eid: int, v: int) -> int:
         u, w = self._ends[eid]
         return w if v == u else u
-
-    def neighbors(self, v: int) -> List[int]:
-        return sorted({self.other(e, v) for e in self._adj[v]})
 
     def __eq__(self, g) -> bool:
         return isinstance(g, MultiGraph) and self.n == g.n and self._ends == g._ends
@@ -188,34 +173,74 @@ def boundary(g: MultiGraph, sets: Iterable[Iterable[int]]) -> FrozenSet[int]:
     return frozenset(out)
 
 
-def contract(g: MultiGraph, u: int, v: int) -> Tuple[MultiGraph, ContractionMap]:
-    """Merge u and v; edges between them vanish, all other ids survive."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("unknown vertex in contraction (%d, %d)" % (u, v))
-    if u == v:
-        raise ValueError("cannot contract a vertex with itself")
-    lo, hi = min(u, v), max(u, v)
-    mapping = tuple(lo if w == hi else (w if w < hi else w - 1) for w in g.vertices)
+def is_simple(g: MultiGraph) -> bool:
+    """True when no two edges share the same pair of endpoints."""
+    pairs = {(u, v) if u < v else (v, u) for u, v in g._ends.values()}
+    return len(pairs) == g.m
+
+
+def union_find(n: int, pairs: Iterable[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """Classes of 0..n-1 joined by the pairs, taken in order.
+
+    Returns a label per vertex, numbering each class by the rank of its
+    smallest vertex, and the indices of the pairs that joined two classes
+    (Kruskal's choices when the pairs come sorted by weight).
+    """
+    head = list(range(n))
+
+    def find(x):
+        while head[x] != x:
+            head[x] = head[head[x]]
+            x = head[x]
+        return x
+
+    merged = []
+    for i, (u, v) in enumerate(pairs):
+        a, b = find(u), find(v)
+        if a != b:
+            # the smaller root wins, so every root is its class's minimum
+            if a < b:
+                head[b] = a
+            else:
+                head[a] = b
+            merged.append(i)
+    labels = [0] * n
+    count = 0
+    for v in range(n):
+        r = find(v)
+        if r == v:
+            labels[v] = count
+            count += 1
+        else:
+            labels[v] = labels[r]
+    return labels, merged
+
+
+def quotient(g: MultiGraph, cmap: ContractionMap) -> MultiGraph:
+    """Merge every class of cmap into its image; edges inside a class vanish.
+
+    The map must send g's vertices onto 0..c-1.  Surviving edges keep their
+    identifiers and endpoint order.
+    """
+    image = cmap.mapping
+    n = max(image) + 1 if image else 0
+    if len(image) != g.n or len(set(image)) != n:
+        raise ValueError("map must send the %d vertices onto 0..c-1" % g.n)
     edges = []
-    for e in g.edge_ids:
-        a, b = g.endpoints(e)
-        na, nb = mapping[a], mapping[b]
-        if na != nb:
-            edges.append((e, na, nb))
-    return MultiGraph(g.n - 1, edges), ContractionMap(mapping)
+    for e, (u, v) in g._ends.items():
+        a, b = image[u], image[v]
+        if a != b:
+            edges.append((e, a, b))
+    return MultiGraph(n, edges)
 
 
-def contract_set(g: MultiGraph, block: Iterable[int]) -> Tuple[MultiGraph, ContractionMap]:
-    """Contract a whole vertex set to one supervertex."""
-    todo = sorted(set(block))
-    if not todo:
-        raise ValueError("cannot contract an empty set")
-    cur, cmap = g, ContractionMap.identity(g.n)
-    anchor = todo[0]
-    for w in todo[1:]:
-        cur, step = contract(cur, cmap.apply(anchor), cmap.apply(w))
-        cmap = cmap.compose(step)
-    return cur, cmap
+def pull_back(partition: Partition, cmap: ContractionMap, n: int) -> Partition:
+    """The partition of the n pre-contraction vertices that cmap maps onto partition."""
+    idx = partition.block_index()
+    blocks: Dict[int, List[int]] = {}
+    for v in range(n):
+        blocks.setdefault(idx[cmap.apply(v)], []).append(v)
+    return Partition(blocks.values())
 
 
 def induced_subgraph(g: MultiGraph, keep: Iterable[int]) -> Tuple[MultiGraph, Dict[int, int]]:
@@ -255,29 +280,32 @@ def connected_components(g: MultiGraph) -> Partition:
     return Partition(blocks)
 
 
-def min_st_cut(g: MultiGraph, s: int, t: int) -> Tuple[int, FrozenSet[int]]:
+def min_st_cut(
+    g: MultiGraph, s: int, t: int, limit: Optional[int] = None
+) -> Tuple[int, FrozenSet[int]]:
     """Minimum number of edges separating s from t, with the s-side set.
 
     Unit capacity per edge record, so parallel edges add up.  BFS augmenting
-    paths; fine at the sizes this library certifies.
+    paths; fine at the sizes this library certifies.  With a limit, flow
+    stops once it reaches the limit: a value at or above it then only says
+    the minimum is at least that large, and the side is not a cut.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("unknown endpoint for s-t cut")
     if s == t:
         raise ValueError("s and t must differ")
     cap: List[Dict[int, int]] = [dict() for _ in range(g.n)]
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
+    for u, v in g._ends.values():
         cap[u][v] = cap[u].get(v, 0) + 1
         cap[v][u] = cap[v].get(u, 0) + 1
     flow = 0
-    while True:
+    while limit is None or flow < limit:
         parent = {s: s}
         q = deque([s])
         while q and t not in parent:
             x = q.popleft()
-            for y in sorted(cap[x]):
-                if cap[x][y] > 0 and y not in parent:
+            for y, c in cap[x].items():
+                if c > 0 and y not in parent:
                     parent[y] = x
                     q.append(y)
         if t not in parent:

@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ParseError
-from .graph import KCutSolution, MultiGraph, cut_value
+from .graph import KCutSolution, MultiGraph, cut_value, is_simple
 from .oracles import max_edges_among
 
 FORMATS = ("edgelist", "dimacs")
@@ -110,17 +110,6 @@ def serialize_graph(g: MultiGraph, labels: Optional[Sequence[str]] = None,
     else:
         raise ValueError("unknown format %r (choose from %s)" % (fmt, (FORMATS,)))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def is_simple(g: MultiGraph) -> bool:
-    seen = set()
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 def gen_clique_reduction(g: MultiGraph, k: int) -> Tuple[MultiGraph, int]:

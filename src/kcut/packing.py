@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple
 
-from .graph import MultiGraph, Partition, connected_components
+from .graph import MultiGraph, Partition, connected_components, union_find
 from .tree import RootedTree
 
 
@@ -34,21 +34,9 @@ def greedy_tree_packing(g: MultiGraph, count: int) -> TreePack:
     loads = {e: 0 for e in g.edge_ids}
     trees = []
     for _ in range(count):
-        head = list(range(g.n))
-
-        def find(x):
-            while head[x] != x:
-                head[x] = head[head[x]]
-                x = head[x]
-            return x
-
-        chosen = []
-        for e in sorted(g.edge_ids, key=lambda e: (loads[e], e)):
-            u, v = g.endpoints(e)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                head[max(ru, rv)] = min(ru, rv)
-                chosen.append(e)
+        order = sorted(g.edge_ids, key=lambda e: (loads[e], e))
+        _, merged = union_find(g.n, [g.endpoints(e) for e in order])
+        chosen = [order[i] for i in merged]
         for e in chosen:
             loads[e] += 1
         trees.append(RootedTree.from_edge_ids(g, chosen, root=0))

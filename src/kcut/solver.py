@@ -24,6 +24,8 @@ from .graph import (
     cut_edge_set,
     cut_value,
     induced_subgraph,
+    is_simple,
+    pull_back,
 )
 from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing, is_tight
@@ -43,6 +45,12 @@ class SolverConfig:
     the graphs the tree-cut stage will attempt: beyond it only branching
     runs, which keeps results sound but may miss optima without small
     blocks.
+
+    mode "auto" runs singleton branching and the tree stage, then checks
+    graphs of at most oracle_fallback_max_n vertices against the brute-force
+    oracle.  "treecut_only" skips only that check: singleton branching
+    still runs and may supply the answer.  "oracle_only" runs the oracle
+    alone.
     """
 
     kt_constant: float = 4.0
@@ -57,6 +65,11 @@ class SolverConfig:
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
 
+    def tree_count(self, k: int, n: int) -> int:
+        """Trees to pack for a k-cut of an n-vertex graph: pack_constant*k^3*ln n, capped."""
+        return max(1, min(math.ceil(self.pack_constant * k ** 3 * math.log(max(n, 2))),
+                          self.pack_cap))
+
 
 def nontrivial_bound(g: MultiGraph, k: int) -> int:
     """k^2 times the minimum degree: no minimum k-cut is ever larger."""
@@ -65,29 +78,10 @@ def nontrivial_bound(g: MultiGraph, k: int) -> int:
     return k * k * g.min_degree()
 
 
-def _is_simple(g: MultiGraph) -> bool:
-    pairs = set()
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        key = (u, v) if u < v else (v, u)
-        if key in pairs:
-            return False
-        pairs.add(key)
-    return True
-
-
 def _tree_seed(base: int, ids) -> int:
     digest = hashlib.blake2b(repr((base, tuple(sorted(ids)))).encode(),
                              digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def _expand_partition(partition: Partition, mapping, n: int) -> Partition:
-    idx = partition.block_index()
-    blocks: Dict[int, List[int]] = {}
-    for v in range(n):
-        blocks.setdefault(idx[mapping.apply(v)], []).append(v)
-    return Partition(blocks.values())
 
 
 class _Context:
@@ -193,7 +187,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int) -> Optional[KCutSolution]:
     kt_map = None
     at_top = alive == ctx.top_alive
     gate = delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
-    if gate and _is_simple(sub):
+    if gate and is_simple(sub):
         ni = ni_sparsify(sub, max(lam, 1))
         stage = ni.subgraph
         kt = kt_sparsify(stage, KTParams(alpha=k * k))
@@ -205,8 +199,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int) -> Optional[KCutSolution]:
         kt_map = kt.map
     if stage.n < max(k, 2) or stage.n > cfg.treecut_max_n:
         return None
-    count = max(1, min(math.ceil(cfg.pack_constant * k ** 3 * math.log(max(stage.n, 2))),
-                       cfg.pack_cap))
+    count = cfg.tree_count(k, stage.n)
     pack = greedy_tree_packing(stage, count)
     ctx.stats["trees_packed"] += count
     best = None
@@ -223,7 +216,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int) -> Optional[KCutSolution]:
         ctx.stats["trees_evaluated"] += 1
         part_local = sol.partition
         if kt_map is not None:
-            part_local = _expand_partition(part_local, kt_map, sub.n)
+            part_local = pull_back(part_local, kt_map, sub.n)
         value = cut_value(sub, part_local)
         if best is None or value < best[0]:
             best = (value, part_local)

@@ -21,9 +21,11 @@ from .graph import (
     MultiGraph,
     Partition,
     connected_components,
-    contract,
     cut_edge_set,
     induced_subgraph,
+    is_simple,
+    quotient,
+    union_find,
 )
 
 Rational = Union[Fraction, float]
@@ -83,35 +85,15 @@ def ni_sparsify(g: MultiGraph, lam: int) -> NIResult:
     """
     if lam < 1:
         raise ValueError("forest count must be positive")
-    seen_pairs = set()
-    for e in g.edge_ids:
-        pair = frozenset(g.endpoints(e))
-        if pair in seen_pairs:
-            raise ValueError("parallel edges: certificate is stated for simple graphs")
-        seen_pairs.add(pair)
+    if not is_simple(g):
+        raise ValueError("parallel edges: certificate is stated for simple graphs")
     remaining = list(g.edge_ids)
     forests: List[FrozenSet[int]] = []
     for _ in range(lam):
-        head = list(range(g.n))
-
-        def find(x):
-            while head[x] != x:
-                head[x] = head[head[x]]
-                x = head[x]
-            return x
-
-        taken = []
-        leftover = []
-        for e in remaining:
-            u, v = g.endpoints(e)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                head[max(ru, rv)] = min(ru, rv)
-                taken.append(e)
-            else:
-                leftover.append(e)
-        forests.append(frozenset(taken))
-        remaining = leftover
+        _, merged = union_find(g.n, [g.endpoints(e) for e in remaining])
+        taken = frozenset(remaining[i] for i in merged)
+        forests.append(taken)
+        remaining = [e for e in remaining if e not in taken]
     kept = sorted(set().union(*forests))
     sub = MultiGraph(g.n, [(e, *g.endpoints(e)) for e in kept])
     return NIResult(sub, tuple(forests))
@@ -349,16 +331,10 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
             if core:
                 cores.append(core)
         sv_before = sum(is_super)
-        nxt, step = cur, ContractionMap.identity(cur.n)
-        marks = []
-        for core in sorted(cores, key=min):
-            verts = sorted(core)
-            for w in verts[1:]:
-                a, b = step.apply(verts[0]), step.apply(w)
-                if a != b:
-                    nxt, one = contract(nxt, a, b)
-                    step = step.compose(one)
-            marks.append(verts[0])
+        marks = [min(core) for core in cores]
+        labels, _ = union_find(cur.n, [(a, w) for a, core in zip(marks, cores) for w in core])
+        step = ContractionMap(tuple(labels))
+        nxt = quotient(cur, step)
         new_super = [False] * nxt.n
         for v in cur.vertices:
             if is_super[v]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .graph import MultiGraph, Partition
+from .graph import ContractionMap, MultiGraph, Partition, union_find
 
 
 class RootedTree:
@@ -163,23 +163,23 @@ def forest_components(t: RootedTree, deleted: Iterable[int]) -> Partition:
     gone = set(deleted)
     if not gone <= t.edge_ids:
         raise ValueError("deletion includes a non-tree edge")
-    head = list(range(t.n))
+    labels, merged = union_find(t.n, [(p, c) for eid, p, c in t.edges() if eid not in gone])
+    blocks: List[List[int]] = [[] for _ in range(t.n - len(merged))]
+    for v, b in enumerate(labels):
+        blocks[b].append(v)
+    return Partition(blocks)
 
-    def find(x):
-        while head[x] != x:
-            head[x] = head[head[x]]
-            x = head[x]
-        return x
 
-    for eid, p, c in t.edges():
-        if eid not in gone:
-            a, b = find(p), find(c)
-            if a != b:
-                head[max(a, b)] = min(a, b)
-    blocks: Dict[int, List[int]] = {}
-    for v in range(t.n):
-        blocks.setdefault(find(v), []).append(v)
-    return Partition(blocks.values())
+def tree_quotient(t: RootedTree, merge: Iterable[int]) -> Tuple[RootedTree, ContractionMap]:
+    """Contract the given tree edges; the root's image roots the smaller tree.
+
+    Vertices are renumbered by the rank of their class's smallest member,
+    so the map also contracts any graph t spans, through `quotient`.
+    """
+    merge = set(merge)
+    labels, merged = union_find(t.n, [(p, c) for eid, p, c in t.edges() if eid in merge])
+    edges = [(eid, labels[p], labels[c]) for eid, p, c in t.edges() if eid not in merge]
+    return RootedTree(t.n - len(merged), labels[t.root], edges), ContractionMap(tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,6 @@ class HLD:
     @property
     def branch_count(self) -> int:
         return len(self.subroot)
-
-    def branch_edges(self, b: int) -> List[int]:
-        return sorted(e for e, i in self.branch_id.items() if i == b)
 
     def branches_on_root_path(self, t: RootedTree, v: int) -> int:
         """How many distinct branches the v-to-root path touches."""

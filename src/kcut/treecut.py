@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -38,12 +37,15 @@ from .graph import (
     KCutSolution,
     MultiGraph,
     Partition,
-    contract,
     cut_edge_set,
     cut_value,
     induced_subgraph,
+    min_st_cut,
+    pull_back,
+    quotient,
+    union_find,
 )
-from .tree import HLD, RootedTree, build_hld, forest_components
+from .tree import HLD, RootedTree, build_hld, forest_components, tree_quotient
 
 INF = math.inf
 ROOT = -1  # stand-in endpoint for "kept with the root side" in the cut graph
@@ -113,43 +115,7 @@ def contract_branches(
 ) -> Tuple[RootedTree, ContractionMap]:
     """Contract every edge of the chosen branches; the root survives."""
     picked = set(chosen)
-    head = list(range(t.n))
-
-    def find(x):
-        while head[x] != x:
-            head[x] = head[head[x]]
-            x = head[x]
-        return x
-
-    ends = {eid: (p, c) for eid, p, c in t.edges()}
-    for eid, bid in hld.branch_id.items():
-        if bid in picked:
-            u, v = ends[eid]
-            a, b = find(u), find(v)
-            if a != b:
-                head[max(a, b)] = min(a, b)
-    reps = sorted({find(v) for v in range(t.n)})
-    index = {r: i for i, r in enumerate(reps)}
-    mapping = tuple(index[find(v)] for v in range(t.n))
-    cmap = ContractionMap(mapping)
-    edges = []
-    for eid, p, c in t.edges():
-        a, b = mapping[p], mapping[c]
-        if a != b:
-            edges.append((eid, a, b))
-    tprime = RootedTree(len(reps), mapping[t.root], edges)
-    return tprime, cmap
-
-
-def branch_contraction_trial(
-    t: RootedTree, hld: HLD, rng: random.Random
-) -> Tuple[RootedTree, ContractionMap]:
-    """Contract each branch independently with probability 1/ceil(log2 n)."""
-    if t.n < 2:
-        raise ValueError("need at least one edge to contract branches")
-    prob = 1.0 / max(1, math.ceil(math.log2(t.n)))
-    chosen = [b for b in range(hld.branch_count) if rng.random() < prob]
-    return contract_branches(t, hld, chosen)
+    return tree_quotient(t, [eid for eid, bid in hld.branch_id.items() if bid in picked])
 
 
 def branch_patterns(hld: HLD, max_size: int) -> Iterator[Tuple[int, ...]]:
@@ -239,14 +205,7 @@ def group_components(
     for c in children:
         for w in tp.subtree(c):
             owner[w] = c
-    head = {c: c for c in children}
-
-    def find(c):
-        while head[c] != c:
-            head[c] = head[head[c]]
-            c = head[c]
-        return c
-
+    joins: List[Tuple[int, int]] = []
     touch: Dict[int, List[int]] = {c: [] for c in children}
     points: Dict[int, List[int]] = {c: [] for c in children}
     for e in sorted(coloring.green):
@@ -260,12 +219,11 @@ def group_components(
             touch[cb].append(e)
             points[cb].append(ib)
         if ca is not None and cb is not None and ca != cb:
-            ra, rb = find(ca), find(cb)
-            if ra != rb:
-                head[max(ra, rb)] = min(ra, rb)
+            joins.append((ca, cb))
+    labels, _ = union_find(tp.n, joins)
     groups: Dict[int, List[int]] = {}
     for c in children:
-        groups.setdefault(find(c), []).append(c)
+        groups.setdefault(labels[c], []).append(c)
     out = []
     for rep in sorted(groups):
         members = tuple(sorted(groups[rep]))
@@ -359,9 +317,6 @@ class StateTable:
 
     def known(self, x: int, parts: int) -> bool:
         return (x, parts) in self._value
-
-    def cells(self):
-        return dict(self._value)
 
 
 def _boundary_count(gp: GPrime, piece: Mapping[int, int]) -> int:
@@ -715,11 +670,8 @@ def contract_safe_edges(
                 continue  # the cheap side already separates within budget
             if not _st_cut_exceeds(cur_g, u, v, lam):
                 continue
-            new_g, step = contract(cur_g, u, v)
-            edges = [(e2, step.apply(a), step.apply(b))
-                     for e2, a, b in cur_t.edges() if e2 != eid]
-            cur_t = RootedTree(new_g.n, step.apply(cur_t.root), edges)
-            cur_g = new_g
+            cur_t, step = tree_quotient(cur_t, [eid])
+            cur_g = quotient(cur_g, step)
             cmap = cmap.compose(step)
             changed = True
             break
@@ -744,44 +696,7 @@ def _st_cut_exceeds(g: MultiGraph, s: int, tt: int, lam: int) -> bool:
             ns[w] = 0
     if bound > lam:
         return True
-    flow, _ = _capped_flow(g, s, tt, lam + 1)
-    return flow > lam
-
-
-def _capped_flow(g: MultiGraph, s: int, t: int, cap: int) -> Tuple[int, None]:
-    res: List[Dict[int, int]] = [dict() for _ in range(g.n)]
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        res[u][v] = res[u].get(v, 0) + 1
-        res[v][u] = res[v].get(u, 0) + 1
-    flow = 0
-    while flow < cap:
-        parent = {s: s}
-        q = deque([s])
-        while q and t not in parent:
-            x = q.popleft()
-            for y in res[x]:
-                if res[x][y] > 0 and y not in parent:
-                    parent[y] = x
-                    if y == t:
-                        break
-                    q.append(y)
-        if t not in parent:
-            break
-        push = None
-        y = t
-        while y != s:
-            x = parent[y]
-            push = res[x][y] if push is None else min(push, res[x][y])
-            y = x
-        y = t
-        while y != s:
-            x = parent[y]
-            res[x][y] -= push
-            res[y][x] = res[y].get(x, 0) + push
-            y = x
-        flow += push
-    return flow, None
+    return min_st_cut(g, s, tt, limit=lam + 1)[0] > lam
 
 
 def rank_preprocess(
@@ -815,38 +730,9 @@ def rank_preprocess(
             while w != t.root:
                 path_edges.add(t.parent_edge(w))
                 w = t.parent(w)
-        if not path_edges:
-            continue
-        head = list(range(t.n))
-
-        def find(x):
-            while head[x] != x:
-                head[x] = head[head[x]]
-                x = head[x]
-            return x
-
-        for eid, p, c in t.edges():
-            if eid in path_edges:
-                a, b = find(p), find(c)
-                if a != b:
-                    head[max(a, b)] = min(a, b)
-        reps_sorted = sorted({find(v) for v in range(t.n)})
-        index = {r: i for i, r in enumerate(reps_sorted)}
-        mapping = tuple(index[find(v)] for v in range(t.n))
-        cmap = ContractionMap(mapping)
-        edges = [(eid, mapping[p], mapping[c]) for eid, p, c in t.edges()
-                 if eid not in path_edges]
-        candidates.append((chosen, RootedTree(len(reps_sorted), mapping[t.root], edges), cmap))
+        if path_edges:
+            candidates.append((chosen, *tree_quotient(t, path_edges)))
     return candidates
-
-
-def _partition_back(partition: Partition, cmap: ContractionMap, n: int) -> Partition:
-    """Pull a contracted partition back to the pre-contraction vertex set."""
-    blocks: Dict[int, List[int]] = {}
-    idx = partition.block_index()
-    for v in range(n):
-        blocks.setdefault(idx[cmap.apply(v)], []).append(v)
-    return Partition(blocks.values())
 
 
 def tree_cut(
@@ -879,7 +765,7 @@ def tree_cut(
     rng = derived_rng(config.seed, "rank")
     hld = build_hld(work_t) if work_t.n >= 2 else None
     for _, cand_t, cand_map in rank_preprocess(work_t, hld, config, rng, k):
-        cand_g = _apply_map(work_g, cand_map)
+        cand_g = quotient(work_g, cand_map)
         if cand_g.n < k:
             continue
         states = fill_states(cand_g, cand_t, k, lam, config)
@@ -888,82 +774,12 @@ def tree_cut(
         if value == INF or cert is None:
             continue
         part = forest_components(cand_t, cert)
-        full = _partition_back(part, cand_map, work_g.n)
+        full = pull_back(part, cand_map, work_g.n)
         if best is None or cut_value(work_g, full) < best[0]:
             best = (cut_value(work_g, full), full)
     if best is None:
         raise Infeasible("no feasible deletion found")
-    original = _partition_back(best[1], cmap, g.n)
+    original = pull_back(best[1], cmap, g.n)
     value = cut_value(g, original)
     return KCutSolution(value, original, cut_edge_set(g, original), "treecut")
 
-
-def _apply_map(g: MultiGraph, cmap: ContractionMap) -> MultiGraph:
-    n = max(cmap.mapping) + 1 if cmap.mapping else 0
-    edges = []
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        a, b = cmap.apply(u), cmap.apply(v)
-        if a != b:
-            edges.append((e, a, b))
-    return MultiGraph(n, edges)
-
-
-def is_spider(t: RootedTree) -> bool:
-    return all(len(t.children(v)) <= 1 for v in t.order if v != t.root)
-
-
-def spider_tree_cut(
-    g: MultiGraph, t: RootedTree, lam: int, k: int, config: TrialConfig
-) -> KCutSolution:
-    """Restricted solver for trees that are disjoint branches at the root.
-
-    One deleted edge per selected branch: estimates come from the
-    single-severing ancestor-cut bound and a knapsack over branch counts.
-    """
-    if not is_spider(t):
-        raise ValueError("tree is not a spider")
-    if t.n != g.n:
-        raise ValueError("tree does not span the graph")
-    if k < 1 or k - 1 > t.n - 1:
-        raise Infeasible("cannot delete %d edges from a %d-vertex tree" % (k - 1, t.n))
-    if k == 1:
-        return KCutSolution(0, Partition([set(g.vertices)]), frozenset(), "spider")
-    hld = build_hld(t)
-    eprime = incomparable_edges(g, t, hld)
-    identity = ContractionMap.identity(t.n)
-    if config.exhaustive and len(eprime) <= config.exhaustive_eprime_cap:
-        colorings: Iterable[Coloring] = all_colorings(eprime)
-    else:
-        count = config.trial_count(k, lam, t.n)
-        colorings = [color_trial(eprime, lam, derived_rng(config.seed, "spider", i))
-                     for i in range(count)]
-        colorings.append(Coloring(eprime, frozenset()))
-    best: Optional[Tuple[int, FrozenSet[int]]] = None
-    children = list(t.children(t.root))
-    for coloring in colorings:
-        setting = TrialSetting(g, t, t, identity, coloring, eprime)
-        candidates = group_components(children, coloring, setting)
-        gps = _classify(setting, candidates)
-        tables: List[Dict[int, float]] = []
-        recons: List[Dict[int, FrozenSet[int]]] = []
-        for u, gp in zip(candidates, gps):
-            val, cert = eval_f(u, gp, setting)
-            weight = len(u.members)
-            tables.append({} if val == INF else {weight: val})
-            recons.append({} if val == INF else {weight: cert})
-        value, sel = knapsack_combine(tables, k - 1)
-        if value == INF:
-            continue
-        cert = frozenset()
-        for i, b in sel:
-            cert |= recons[i][b]
-        if len(cert) != k - 1:
-            continue
-        true_value = cut_value(g, forest_components(t, cert))
-        if best is None or true_value < best[0]:
-            best = (true_value, cert)
-    if best is None:
-        raise Infeasible("no branch selection reaches %d parts" % k)
-    part = forest_components(t, best[1])
-    return KCutSolution(best[0], part, cut_edge_set(g, part), "spider")

@@ -1,4 +1,4 @@
-"""Multigraph core: contraction, cuts, boundaries, components, s-t cut."""
+"""Multigraph core: union-find, quotient, cuts, boundaries, components, s-t cut."""
 
 import itertools
 import random
@@ -12,19 +12,26 @@ from kcut.graph import (
     Partition,
     boundary,
     connected_components,
-    contract,
-    contract_set,
     cut_edge_set,
     cut_value,
     induced_subgraph,
     min_st_cut,
+    pull_back,
+    quotient,
+    union_find,
 )
 from helpers import complete_graph, cycle_graph, from_pairs, path_graph, random_multigraph
 
 
+def merge(g, *pairs):
+    """Quotient of g that joins each given vertex pair, with its map."""
+    cmap = ContractionMap(tuple(union_find(g.n, pairs)[0]))
+    return quotient(g, cmap), cmap
+
+
 def test_contract_triangle_drops_inner_edge():
     g = from_pairs(3, [(0, 1), (1, 2), (0, 2)])
-    h, cmap = contract(g, 0, 1)
+    h, cmap = merge(g, (0, 1))
     assert h.n == 2
     assert set(h.edge_ids) == {1, 2}
     # both survivors now run between the merged vertex and c
@@ -34,14 +41,14 @@ def test_contract_triangle_drops_inner_edge():
 
 def test_contract_single_edge_leaves_isolated_vertex():
     g = from_pairs(2, [(0, 1)])
-    h, _ = contract(g, 0, 1)
+    h, _ = merge(g, (0, 1))
     assert h.n == 1
     assert h.m == 0
 
 
 def test_contract_path_keeps_identifiers():
     g = path_graph(4)  # ids 0:(0,1) 1:(1,2) 2:(2,3)
-    h, cmap = contract(g, 1, 2)
+    h, cmap = merge(g, (1, 2))
     assert h.n == 3
     assert set(h.edge_ids) == {0, 2}
     x = cmap.apply(1)
@@ -52,9 +59,9 @@ def test_contract_path_keeps_identifiers():
 def test_contract_rejects_bad_arguments():
     g = path_graph(3)
     with pytest.raises(ValueError):
-        contract(g, 0, 0)
+        quotient(g, ContractionMap((0, 0)))  # misses vertex 2
     with pytest.raises(ValueError):
-        contract(g, 0, 7)
+        quotient(g, ContractionMap((0, 2, 2)))  # label 1 has no preimage
 
 
 def test_no_self_loops_ever():
@@ -145,8 +152,8 @@ def test_connected_components_examples():
 
 def test_contraction_map_composes():
     g = path_graph(4)
-    h1, m1 = contract(g, 0, 1)
-    h2, m2 = contract(h1, m1.apply(2), m1.apply(3))
+    h1, m1 = merge(g, (0, 1))
+    h2, m2 = merge(h1, (m1.apply(2), m1.apply(3)))
     total = m1.compose(m2)
     assert total.apply(2) == total.apply(3)
     assert total.apply(0) == total.apply(1)
@@ -156,7 +163,7 @@ def test_contraction_map_composes():
 
 def test_contract_set_multiway():
     g = complete_graph(4)
-    h, cmap = contract_set(g, {0, 1, 2})
+    h, cmap = merge(g, (0, 1), (0, 2))
     assert h.n == 2
     assert h.m == 3  # the three edges into vertex 3 survive as parallels
     assert len({cmap.apply(v) for v in (0, 1, 2)}) == 1
@@ -185,7 +192,7 @@ def test_contraction_preserves_other_identifiers(g, seed):
     if u == v:
         return
     dropped = {e for e in g.edge_ids if set(g.endpoints(e)) == {u, v}}
-    h, _ = contract(g, u, v)
+    h, _ = merge(g, (u, v))
     assert set(h.edge_ids) == set(g.edge_ids) - dropped
 
 
@@ -200,9 +207,45 @@ def test_contraction_preserves_cut_values(g, seed):
     if others[half:]:
         blocks.append(set(others[half:]))
     p = Partition(blocks)
-    h, cmap = contract(g, u, v)
+    h, cmap = merge(g, (u, v))
     q = Partition([{cmap.apply(w) for w in b} for b in blocks])
     assert cut_value(g, p) == cut_value(h, q)
+
+
+def random_pairs(rng, n):
+    return [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(0, 2 * n))]
+
+
+@given(graphs, st.integers(min_value=0, max_value=10**6))
+def test_quotient_cut_equals_pulled_back_cut(g, seed):
+    rng = random.Random(seed)
+    h, cmap = merge(g, *random_pairs(rng, g.n))
+    labels = [rng.randrange(3) for _ in range(h.n)]
+    p = Partition([[w for w in h.vertices if labels[w] == i] for i in set(labels)])
+    assert cut_value(h, p) == cut_value(g, pull_back(p, cmap, g.n))
+
+
+@given(graphs, st.integers(min_value=0, max_value=10**6))
+def test_union_find_numbers_blocks_by_their_minimum(g, seed):
+    rng = random.Random(seed)
+    pairs = random_pairs(rng, g.n)
+    labels, merged = union_find(g.n, pairs)
+    blocks = connected_components(MultiGraph.from_edge_list(g.n, pairs)).blocks
+    for rank, block in enumerate(blocks):  # Partition sorts blocks by minimum
+        assert {labels[v] for v in block} == {rank}
+    # reference: one single-edge quotient per pair that still joins two vertices
+    cur, total, joined = g, ContractionMap.identity(g.n), []
+    for i, (u, v) in enumerate(pairs):
+        a, b = total.apply(u), total.apply(v)
+        if a == b:
+            continue
+        lo, hi = min(a, b), max(a, b)
+        step = ContractionMap(tuple(lo if w == hi else w - (w > hi) for w in cur.vertices))
+        cur, total = quotient(cur, step), total.compose(step)
+        joined.append(i)
+    assert list(total.mapping) == labels
+    assert merged == joined
+    assert cur == quotient(g, ContractionMap(tuple(labels)))
 
 
 @given(graphs, st.integers(min_value=0, max_value=10**6))
@@ -217,6 +260,7 @@ def test_min_st_cut_matches_bipartition_enumeration(g, seed):
     )
     value, side = min_st_cut(g, s, t)
     assert value == best
+    assert (min_st_cut(g, s, t, limit=2)[0] >= 2) == (best >= 2)
     assert s in side and t not in side
     assert len(cut_edge_set(g, Partition([side, frozenset(g.vertices) - side]))) == value
 

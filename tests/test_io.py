@@ -252,6 +252,18 @@ class TestCli:
         assert len(report["stats"]["trees"]) == 3
         assert all(len(ids) == 5 for ids in report["stats"]["trees"])
 
+    def test_treepack_reads_solver_config(self, tmp_path, capsys):
+        path = write(tmp_path, "tri2.txt", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
+        code, report = run_json(capsys, ["treepack", "--k", "2", path])
+        assert code == 0 and report["stats"]["count"] == 44
+        code, report = run_json(capsys, ["treepack", "--k", "2", "--config",
+                                         '{"solver": {"pack_cap": 2}}', path])
+        assert code == 0 and report["stats"]["count"] == 2
+        assert len(report["stats"]["trees"]) == 2
+        code, report = run_json(capsys, ["treepack", "--k", "2", "--config",
+                                         '{"solver": {"pack_constant": 0.1}}', path])
+        assert code == 0 and report["stats"]["count"] == 2  # ceil(0.1 * 8 * ln 6)
+
     def test_treecut_cycle(self, tmp_path, capsys):
         path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))
         code, report = run_json(capsys, ["treecut", "--k", "2", path])
@@ -287,11 +299,6 @@ class TestCli:
         monkeypatch.setenv("KCUT_THREADS", "4")
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == first
-
-    def test_bad_threads_env(self, tmp_path, capsys, monkeypatch):
-        path = write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\n")
-        monkeypatch.setenv("KCUT_THREADS", "lots")
-        assert run_cli(["solve", "--k", "2", path]) == 1
 
     def test_report_value_rescored(self, tmp_path, capsys):
         path = write(tmp_path, "bridge.txt", bridge_text())

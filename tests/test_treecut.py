@@ -4,41 +4,32 @@ import random
 
 import pytest
 
-from kcut import (
+from kcut.errors import Infeasible
+from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut
+from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
+from kcut.tree import RootedTree, build_hld, forest_components
+from kcut.treecut import (
+    INF,
     CandidateSet,
     Coloring,
-    ContractionMap,
     GPrime,
-    Infeasible,
-    MultiGraph,
-    RootedTree,
     TrialConfig,
     TrialSetting,
     all_colorings,
-    branch_contraction_trial,
-    brute_min_ancestor_cut,
-    brute_min_kcut,
-    brute_tree_kcut,
     build_gprime,
-    build_hld,
     color_trial,
     contract_branches,
     contract_safe_edges,
-    cut_value,
     derived_rng,
     eval_f,
     eval_f_p,
     fill_states,
-    forest_components,
     group_components,
     incomparable_edges,
     knapsack_combine,
-    min_st_cut,
     rank_preprocess,
-    spider_tree_cut,
     tree_cut,
 )
-from kcut.treecut import INF
 
 from helpers import complete_graph, cycle_graph, from_pairs, path_graph, random_connected_graph
 
@@ -186,13 +177,6 @@ class TestBranchContraction:
         assert tp.n == 3
         assert cmap.apply(1) == cmap.apply(0) == cmap.apply(2)
         assert cmap.apply(3) != cmap.apply(0)
-
-    def test_trial_runs(self):
-        g, _ = spider(2, 2, 2)
-        t = RootedTree.bfs_spanning(g)
-        hld = build_hld(t)
-        tp, _ = branch_contraction_trial(t, hld, derived_rng(1, "bc"))
-        assert 1 <= tp.n <= t.n
 
 
 class TestIncomparableEdges:
@@ -530,53 +514,6 @@ class TestTreeCut:
         a = tree_cut(g, t, 6, 3, cfg)
         b = tree_cut(g, t, 6, 3, cfg)
         assert a.value == b.value and a.partition.blocks == b.partition.blocks
-
-
-class TestSpiderTreeCut:
-    def test_three_branches_identity(self):
-        g, _ = spider(2, 2, 2)
-        t = RootedTree.bfs_spanning(g)
-        sol = spider_tree_cut(g, t, 6, 4, EXH)
-        assert sol.value == 3  # one cut per branch, nothing else crosses
-
-    def test_rejects_non_spider(self):
-        g = from_pairs(4, [(0, 1), (1, 2), (1, 3)])
-        t = RootedTree.from_edge_ids(g, [0, 1, 2])
-        with pytest.raises(ValueError):
-            spider_tree_cut(g, t, 4, 2, EXH)
-
-    def test_no_cross_edges_matches_oracle(self):
-        g, _ = spider(2, 2)
-        sol = spider_tree_cut(g, RootedTree.bfs_spanning(g), 4, 3, EXH)
-        assert sol.value == brute_min_kcut(g, 3).value == 2
-
-    def test_cross_edges_exhaustive_matches_oracle(self):
-        # doubled branch interiors keep the optimum at one cut per branch
-        full = from_pairs(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6),
-                              (1, 2), (3, 4), (5, 6), (2, 4)])
-        t = RootedTree.from_edge_ids(full, [0, 1, 2, 3, 4, 5])
-        sol = spider_tree_cut(full, t, 8, 3, EXH)
-        assert cut_value(full, sol.partition) == sol.value
-        assert sol.value == brute_min_kcut(full, 3).value == 3
-
-    def test_sound_on_random_spiders(self):
-        rng = random.Random(41)
-        for _ in range(10):
-            lengths = [rng.randrange(1, 4) for _ in range(rng.randrange(2, 5))]
-            g, _ = spider(*lengths)
-            extra = []
-            nid = g.m
-            verts = list(range(1, g.n))
-            for _ in range(rng.randrange(0, 4)):
-                a, b = rng.sample(verts, 2)
-                extra.append((nid, a, b))
-                nid += 1
-            full = MultiGraph(g.n, list((i, *g.endpoints(i)) for i in g.edge_ids) + extra)
-            t = RootedTree.from_edge_ids(full, sorted(g.edge_ids))
-            k = rng.randrange(2, min(4, len(lengths) + 2))
-            sol = spider_tree_cut(full, t, 10, k, EXH)
-            assert cut_value(full, sol.partition) == sol.value
-            assert sol.value >= brute_min_kcut(full, k).value
 
 
 class TestRankPreprocess:
