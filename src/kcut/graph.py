@@ -55,6 +55,11 @@ class MultiGraph:
     def endpoints(self, eid: int) -> Tuple[int, int]:
         return self._ends[eid]
 
+    @property
+    def pairs(self) -> Iterable[Tuple[int, int]]:
+        """Endpoints of every edge, one pair per edge record."""
+        return self._ends.values()
+
     def incident(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
 
@@ -145,7 +150,7 @@ def cut_value(g: MultiGraph, partition: Partition) -> int:
     idx = partition.block_index()
     if len(idx) != g.n or any(v not in idx for v in g.vertices):
         raise ValueError("partition does not cover the vertex set exactly")
-    return sum(1 for u, v in (g.endpoints(e) for e in g.edge_ids) if idx[u] != idx[v])
+    return sum(1 for u, v in g.pairs if idx[u] != idx[v])
 
 
 def cut_edge_set(g: MultiGraph, partition: Partition) -> FrozenSet[int]:

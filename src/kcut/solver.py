@@ -78,6 +78,16 @@ def nontrivial_bound(g: MultiGraph, k: int) -> int:
     return k * k * g.min_degree()
 
 
+def _ni_keeps_every_edge(g: MultiGraph, lam: int) -> bool:
+    """True when `ni_sparsify(g, lam)` would return g unchanged.
+
+    An edge uv missing from the first i forests has a u-v path in each of
+    them, so u and v both have degree above i: every edge lies in one of
+    the first min(deg u, deg v) forests.
+    """
+    return all(min(g.degree(u), g.degree(v)) <= lam for u, v in g.pairs)
+
+
 def _tree_seed(base: int, ids) -> int:
     digest = hashlib.blake2b(repr((base, tuple(sorted(ids)))).encode(),
                              digest_size=8).digest()
@@ -188,12 +198,12 @@ def _tree_stage(ctx, alive, sub, rev, k: int) -> Optional[KCutSolution]:
     at_top = alive == ctx.top_alive
     gate = delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
     if gate and is_simple(sub):
-        ni = ni_sparsify(sub, max(lam, 1))
-        stage = ni.subgraph
+        if not _ni_keeps_every_edge(sub, max(lam, 1)):
+            stage = ni_sparsify(sub, max(lam, 1)).subgraph
         kt = kt_sparsify(stage, KTParams(alpha=k * k))
         ctx.stats["sparsified_cells"] += 1
         if at_top:
-            ctx.stats["ni_edges"] = ni.subgraph.m
+            ctx.stats["ni_edges"] = stage.m
             ctx.stats["kt_iterations"] = len(kt.iterations)
         stage = kt.contracted
         kt_map = kt.map

@@ -158,16 +158,32 @@ class RootedTree:
         return "RootedTree(n=%d, root=%d)" % (self.n, self.root)
 
 
-def forest_components(t: RootedTree, deleted: Iterable[int]) -> Partition:
-    """Vertex partition after deleting the given tree edges from t."""
+def forest_labels(t: RootedTree, deleted: Iterable[int]) -> List[int]:
+    """Per vertex, the top vertex of its component after deleting the given tree edges.
+
+    One preorder walk: a vertex heads its component when its parent edge
+    is deleted (or it is the root), and otherwise inherits its parent's
+    label.  Labels are vertex ids, so two vertices share one exactly when
+    the remaining forest connects them.
+    """
     gone = set(deleted)
     if not gone <= t.edge_ids:
         raise ValueError("deletion includes a non-tree edge")
-    labels, merged = union_find(t.n, [(p, c) for eid, p, c in t.edges() if eid not in gone])
-    blocks: List[List[int]] = [[] for _ in range(t.n - len(merged))]
-    for v, b in enumerate(labels):
-        blocks[b].append(v)
-    return Partition(blocks)
+    parent, parent_edge = t._parent, t._parent_edge
+    labels = list(range(t.n))
+    for v in t.order:
+        e = parent_edge[v]
+        if e is not None and e not in gone:
+            labels[v] = labels[parent[v]]
+    return labels
+
+
+def forest_components(t: RootedTree, deleted: Iterable[int]) -> Partition:
+    """Vertex partition after deleting the given tree edges from t."""
+    blocks: Dict[int, List[int]] = {}
+    for v, top in enumerate(forest_labels(t, deleted)):
+        blocks.setdefault(top, []).append(v)
+    return Partition(blocks.values())
 
 
 def tree_quotient(t: RootedTree, merge: Iterable[int]) -> Tuple[RootedTree, ContractionMap]:

@@ -45,7 +45,14 @@ from .graph import (
     quotient,
     union_find,
 )
-from .tree import HLD, RootedTree, build_hld, forest_components, tree_quotient
+from .tree import (
+    HLD,
+    RootedTree,
+    build_hld,
+    forest_components,
+    forest_labels,
+    tree_quotient,
+)
 
 INF = math.inf
 ROOT = -1  # stand-in endpoint for "kept with the root side" in the cut graph
@@ -299,7 +306,11 @@ def build_gprime(setting: TrialSetting, u: CandidateSet) -> GPrime:
 
 
 class StateTable:
-    """(vertex, parts) -> cheapest split of that subtree, with its deletions."""
+    """(vertex, parts) -> cheapest split of that subtree, with its deletions.
+
+    Holds only the cells `fill_states` fills (see its docstring); `known`
+    tells whether a cell is present.
+    """
 
     def __init__(self):
         self._value: Dict[Tuple[int, int], float] = {}
@@ -521,7 +532,9 @@ def _subtree_instance(g: MultiGraph, t: RootedTree, x: int):
 
 
 def _score_deletion(sub: MultiGraph, local_t: RootedTree, ids: Iterable[int]) -> int:
-    return cut_value(sub, forest_components(local_t, ids))
+    """Exact cost of deleting ids: edges whose endpoints end in different components."""
+    labels = forest_labels(local_t, ids)
+    return sum(1 for u, v in sub.pairs if labels[u] != labels[v])
 
 
 def _sweep_cell(sub: MultiGraph, local_t: RootedTree, parts: int):
@@ -617,21 +630,25 @@ def _cell_trials(
 def fill_states(
     g: MultiGraph, t: RootedTree, k: int, lam: int, config: TrialConfig
 ) -> StateTable:
-    """Bottom-up table over all subtrees and part counts up to k.
+    """Bottom-up table of the cells a k-part answer at the root reads.
 
-    Cells are exact whenever the subtree is small enough to sweep; larger
-    cells hold the best certified trial outcome, so every finite value is
-    the true cost of the deletions recorded for it.
+    Fills (x, parts) for every vertex x and parts <= k-1, and (root, k);
+    no other cell is set.  A cell with p parts reads only proper
+    descendants' cells with at most p-1 parts, so nothing it needs is
+    skipped.  Cells are exact whenever the subtree is small enough to
+    sweep; larger cells hold the best certified trial outcome, so every
+    finite value is the true cost of the deletions recorded for it.
     """
     states = StateTable()
     for x in reversed(t.order):
+        top = k if x == t.root else k - 1
         size = t.subtree_size(x)
         edges_avail = size - 1
         states.set(x, 0, 0, frozenset())
-        if k >= 1:
+        if top >= 1:
             states.set(x, 1, 0, frozenset())
         sub = local_t = rev = None
-        for parts in range(2, k + 1):
+        for parts in range(2, top + 1):
             if edges_avail < parts - 1:
                 states.set(x, parts, INF, None)
                 continue
@@ -775,8 +792,9 @@ def tree_cut(
             continue
         part = forest_components(cand_t, cert)
         full = pull_back(part, cand_map, work_g.n)
-        if best is None or cut_value(work_g, full) < best[0]:
-            best = (cut_value(work_g, full), full)
+        full_value = cut_value(work_g, full)
+        if best is None or full_value < best[0]:
+            best = (full_value, full)
     if best is None:
         raise Infeasible("no feasible deletion found")
     original = pull_back(best[1], cmap, g.n)

@@ -8,6 +8,7 @@ from kcut.errors import BudgetExceeded, Infeasible
 from kcut.graph import cut_value
 from kcut.oracles import brute_min_kcut
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats
+import kcut.treecut as treecut
 from kcut.treecut import TrialConfig
 
 from helpers import (
@@ -181,3 +182,50 @@ class TestDeterminism:
             cfg = SolverConfig(trial=TrialConfig(seed=seed, trials=8))
             sol, stats = solve_with_stats(g, 3, cfg)
             assert sol.value >= stats["oracle_value"]
+
+
+class TestPinnedTrialCells:
+    """Answers and counters of two default solves whose tree stage runs trial cells.
+
+    Captured while the tree DP still filled a k-part cell at every vertex;
+    work the tree stage skips must not change them.
+    """
+
+    @staticmethod
+    def gnm(seed, n, m):
+        rng = random.Random(seed)
+        pairs = rng.sample([(i, j) for i in range(n) for j in range(i + 1, n)], m)
+        return from_pairs(n, pairs)
+
+    @staticmethod
+    def chained_cliques(sizes, links):
+        pairs, bases, base = [], [], 0
+        for size in sizes:
+            bases.append(base)
+            pairs += [(base + i, base + j) for i in range(size) for j in range(i + 1, size)]
+            base += size
+        for a, b in zip(bases, bases[1:]):
+            pairs += [(a + j, b + j) for j in range(links)]
+        return from_pairs(base, pairs)
+
+    @pytest.mark.parametrize("name, k, value, blocks, provenance, cells, trees", [
+        ("gnm", 2, 2, [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14], [11]], "branch", 2, 51),
+        ("chain", 3, 4, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11, 12, 13]], "treecut", 18, 220),
+    ])
+    def test_pinned(self, monkeypatch, name, k, value, blocks, provenance, cells, trees):
+        g = self.gnm(1, 15, 40) if name == "gnm" else self.chained_cliques((5, 5, 4), 2)
+        trial_cells = []
+        real = treecut._cell_trials
+
+        def counted(*args, **kwargs):
+            trial_cells.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(treecut, "_cell_trials", counted)
+        sol, stats = solve_with_stats(g, k)
+        assert trial_cells  # the pin covers the randomized trials, not just the sweep
+        assert sol.value == value
+        assert sorted(sorted(b) for b in sol.partition.blocks) == blocks
+        assert sol.provenance == provenance
+        assert stats["cells"] == cells
+        assert stats["trees_evaluated"] == trees

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kcut.graph import MultiGraph, boundary, connected_components
 from kcut.oracles import OracleBudget, brute_min_conductance
+from kcut.solver import _ni_keeps_every_edge
 from kcut.sparsify import (
     KTParams,
     kt_sparsify,
@@ -68,6 +69,21 @@ def test_ni_preserves_small_boundaries(seed, lam):
         s = {v for v in g.vertices if rng.random() < 0.5}
         if s and len(s) < g.n and len(boundary(g, [s])) <= lam:
             assert boundary(res.subgraph, [s]) == boundary(g, [s])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=4, max_value=12),
+       st.floats(min_value=0.2, max_value=0.9))
+def test_ni_keeps_every_edge_at_the_degree_bound(seed, n, p):
+    # an edge uv always lands in one of the first min(deg u, deg v) forests
+    g = random_simple_graph(random.Random(seed), n, p)
+    if g.m == 0:
+        return
+    lam = max(min(g.degree(u), g.degree(v)) for u, v in g.pairs)
+    assert ni_sparsify(g, lam).subgraph == g
+    # the solver skips NI exactly from this bound on
+    assert _ni_keeps_every_edge(g, lam)
+    assert not _ni_keeps_every_edge(g, lam - 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from kcut.errors import Infeasible
-from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut
+from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut, union_find
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
-from kcut.tree import RootedTree, build_hld, forest_components
+from kcut.tree import RootedTree, build_hld, forest_components, forest_labels
 from kcut.treecut import (
     INF,
     CandidateSet,
@@ -15,6 +15,7 @@ from kcut.treecut import (
     GPrime,
     TrialConfig,
     TrialSetting,
+    _score_deletion,
     all_colorings,
     build_gprime,
     color_trial,
@@ -31,7 +32,14 @@ from kcut.treecut import (
     tree_cut,
 )
 
-from helpers import complete_graph, cycle_graph, from_pairs, path_graph, random_connected_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    from_pairs,
+    path_graph,
+    random_connected_graph,
+    random_multigraph,
+)
 
 EXH = TrialConfig(seed=7, trials="exhaustive")
 
@@ -406,7 +414,9 @@ class TestFillStates:
         assert states.value(leaf, 0) == 0
         assert states.value(leaf, 1) == 0
         assert states.value(leaf, 2) == INF
-        assert states.value(leaf, 3) == INF
+        # only the root carries a k-part cell
+        assert not states.known(leaf, 3)
+        assert states.known(t.root, 3)
 
     def test_path_split_in_two(self):
         g = path_graph(3)
@@ -425,7 +435,9 @@ class TestFillStates:
             states = fill_states(g, t, k, 6, EXH)
             for x in t.order:
                 edges = t.subtree_size(x) - 1
-                for parts in range(2, k + 1):
+                if x != t.root:
+                    assert not states.known(x, k)
+                for parts in range(2, k + 1 if x == t.root else k):
                     if edges < parts - 1:
                         assert states.value(x, parts) == INF
                     else:
@@ -441,6 +453,46 @@ class TestFillStates:
                 continue
             states = fill_states(g, t, k, 8, EXH)
             assert states.value(t.root, k) == brute_tree_kcut(g, t, k).value
+
+
+class TestScoreDeletion:
+    def test_label_scoring_matches_partition_reference(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            n = rng.randrange(2, 8)
+            # a path keeps the multigraph connected; the rest may be parallel
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            extra = random_multigraph(rng, n, rng.randrange(0, 2 * n))
+            g = from_pairs(n, pairs + [extra.endpoints(e) for e in extra.edge_ids])
+            # rooted away from vertex 0, so a label of 0 cannot stand for the root
+            tree_ids = random_spanning_tree(rng, g).edge_ids
+            t = RootedTree.from_edge_ids(g, tree_ids, root=rng.randrange(1, n))
+            ids = sorted(t.edge_ids)
+            for size in range(min(3, len(ids)) + 1):
+                for combo in itertools.combinations(ids, size):
+                    want = cut_value(g, forest_components(t, combo))
+                    # forest_components is built on the same labels, so check
+                    # it against a union-find over the kept tree edges
+                    kept = [(p, c) for e, p, c in t.edges() if e not in combo]
+                    blocks = union_find(n, kept)[0]
+                    assert want == sum(1 for u, v in g.pairs if blocks[u] != blocks[v])
+                    assert _score_deletion(g, t, combo) == want
+
+    def test_labels_name_component_tops(self):
+        g = path_graph(4)  # ids 0:(0,1) 1:(1,2) 2:(2,3)
+        t = RootedTree.from_edge_ids(g, g.edge_ids, root=2)
+        assert forest_labels(t, []) == [2, 2, 2, 2]
+        assert forest_labels(t, [0]) == [0, 2, 2, 2]
+        assert forest_labels(t, [1, 2]) == [1, 1, 2, 3]
+
+    def test_non_tree_edge_rejected(self):
+        g = cycle_graph(4)
+        t = spanning_path(g, [1, 2, 3, 0])
+        chord = next(e for e in g.edge_ids if e not in t.edge_ids)
+        with pytest.raises(ValueError):
+            forest_labels(t, [chord])
+        with pytest.raises(ValueError):
+            _score_deletion(g, t, [chord])
 
 
 class TestTreeCut:
