@@ -7,6 +7,7 @@ import pytest
 from kcut.errors import Infeasible
 from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut, union_find
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
+from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree, build_hld, forest_components, forest_labels
 from kcut.treecut import (
     INF,
@@ -15,6 +16,7 @@ from kcut.treecut import (
     GPrime,
     TrialConfig,
     TrialSetting,
+    _classify,
     _score_deletion,
     all_colorings,
     build_gprime,
@@ -298,6 +300,95 @@ class TestBuildGPrime:
         assert gp.edges.count((3, -1)) == 1  # only the branch top edge of 3
 
 
+def reference_classify(setting, candidates):
+    """Rule-by-rule statement of the cut-graph classification, kept as written
+    before the trial engine moved to flat per-vertex lists."""
+    tp = setting.tprime
+    image = setting.tmap.apply
+    cand_of = {}
+    for i, u in enumerate(candidates):
+        for c in u.members:
+            for w in tp.subtree(c):
+                cand_of[w] = i
+    under = {}
+    for i, u in enumerate(candidates):
+        inside = set()
+        for s in u.minelts:
+            inside |= set(tp.subtree(s))
+        under[i] = frozenset(inside)
+    edges = [[] for _ in candidates]
+    bcount = [0 for _ in candidates]
+    for e in setting.g.edge_ids:
+        a, b = setting.g.endpoints(e)
+        ia, ib = image(a), image(b)
+        ca = cand_of.get(ia)
+        cb = cand_of.get(ib)
+        if e in setting.eprime:
+            per_cand = {}
+            for end, cc, img in ((a, ca, ia), (b, cb, ib)):
+                if cc is not None:
+                    per_cand.setdefault(cc, []).append((end, img))
+            for cc, ends in per_cand.items():
+                if any(img in under[cc] for _, img in ends):
+                    bcount[cc] += 1
+                else:
+                    for end, _ in ends:
+                        edges[cc].append((end, -1))
+        else:
+            if ca is None and cb is None:
+                continue
+            cc = ca if ca is not None else cb
+            if ca == cb:
+                mins = {s for s in candidates[cc].minelts
+                        if tp.precedes(s, ia) and tp.precedes(s, ib)}
+                if mins:
+                    continue
+                edges[cc].append((a, b))
+            else:
+                inside_end = a if ca is not None else b
+                edges[cc].append((inside_end, -1))
+    return [GPrime(tuple(es), bc) for es, bc in zip(edges, bcount)]
+
+
+class TestClassifyReference:
+    def trial_settings(self, rng, g, t):
+        """Seeded colorings over E' crossed with HLD contraction patterns."""
+        hld = build_hld(t)
+        eprime = incomparable_edges(g, t, hld)
+        for _ in range(6):
+            coloring = color_trial(eprime, rng.choice((1, 2, 3)), rng)
+            pattern = tuple(b for b in range(hld.branch_count) if rng.random() < 0.3)
+            tprime, tmap = contract_branches(t, hld, pattern)
+            if tprime.n >= 2:
+                yield TrialSetting(g, t, tprime, tmap, coloring, eprime)
+
+    def graphs(self, rng):
+        for _ in range(30):
+            n = rng.randrange(5, 12)
+            if rng.random() < 0.5:
+                g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
+            else:
+                # a path keeps the multigraph connected; the rest may be parallel
+                extra = random_multigraph(rng, n, rng.randrange(n, 3 * n))
+                g = from_pairs(n, [(i, i + 1) for i in range(n - 1)]
+                               + [extra.endpoints(e) for e in extra.edge_ids])
+            tree_ids = random_spanning_tree(rng, g).edge_ids
+            yield g, RootedTree.from_edge_ids(g, tree_ids, root=rng.randrange(n))
+
+    def test_cut_graphs_match_reference(self):
+        rng = random.Random(41)
+        checked = 0
+        for g, t in self.graphs(rng):
+            for s in self.trial_settings(rng, g, t):
+                cands = group_components(list(s.tprime.children(s.tprime.root)),
+                                         s.coloring, s)
+                assert _classify(s, cands) == reference_classify(s, cands)
+                for u in cands:
+                    assert build_gprime(s, u) == reference_classify(s, [u])[0]
+                checked += len(cands)
+        assert checked > 200
+
+
 class TestEvalF:
     def test_edgeless_gprime_counts_b(self):
         g, _ = spider(1, 1, 1)
@@ -558,6 +649,21 @@ class TestTreeCut:
             assert sol.value >= best
             hits += sol.value == best
         assert hits >= 10  # sampling still finds most optima
+
+    @pytest.mark.parametrize("seed, n, extra, value, cut", [
+        (3, 14, 16, 4, [1, 4, 15, 22]),
+        (4, 13, 14, 5, [1, 11, 13, 14, 19]),
+    ])
+    def test_exhaustive_trials_pinned(self, seed, n, extra, value, cut):
+        # every subtree stays under the exhaustive caps, so each contraction
+        # pattern is tried once per green set; value and cut edges were
+        # captured before the trial engine moved to flat per-vertex lists
+        g = random_connected_graph(random.Random(seed), n, extra)
+        t = greedy_tree_packing(g, 1).trees[0]
+        cfg = TrialConfig(seed=4, trials="exhaustive", sweep_max_edges=0)
+        sol = tree_cut(g, t, 12, 3, cfg)
+        assert sol.value == value
+        assert sorted(sol.cut_edges) == cut
 
     def test_deterministic_per_seed(self):
         g = random_connected_graph(random.Random(2), 7, 4)
