@@ -36,7 +36,7 @@ def _build_parsers() -> dict:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="edgelist")
     common.add_argument("--k", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--trials", type=int, default=None)
     common.add_argument("--exhaustive", action="store_true")
     common.add_argument("--mode", choices=MODES, default="auto")
@@ -101,11 +101,21 @@ def _apply(base, payload: dict, what: str):
         raise ConfigError("bad %s override: %s" % (what, e))
 
 
+def _seed(args) -> int:
+    """The --seed flag, 0 when it is not given."""
+    return args.seed if args.seed is not None else 0
+
+
 def _trial_config(args, overrides: dict) -> TrialConfig:
-    trials = "exhaustive" if args.exhaustive else (
-        args.trials if args.trials is not None else TrialConfig().trials)
-    base = TrialConfig(seed=args.seed, trials=trials)
-    return _apply(base, overrides.get("trial", {}), "trial")
+    """The `trial` section of --config, with the flags given on top."""
+    payload = dict(overrides.get("trial", {}))
+    if args.seed is not None:
+        payload["seed"] = args.seed
+    if args.exhaustive:
+        payload["trials"] = "exhaustive"
+    elif args.trials is not None:
+        payload["trials"] = args.trials
+    return _apply(TrialConfig(), payload, "trial")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -151,7 +161,7 @@ def _cmd_solve(args) -> dict:
         "ni_edges", "kt_iterations", "oracle_value", "oracle_agrees",
         "tight_tree_found")}
     payload["trials"] = cfg.trial.trials
-    return build_report("solve", n=g.n, m=g.m, k=k, seed=args.seed,
+    return build_report("solve", n=g.n, m=g.m, k=k, seed=cfg.trial.seed,
                         solution=solution_payload(g, labels, sol), stats=payload,
                         times=_times(args, parse=t_parse, solve=t_solve))
 
@@ -162,7 +172,7 @@ def _cmd_oracle(args) -> dict:
     t0 = time.perf_counter()
     sol = brute_min_kcut(g, k)
     t_solve = time.perf_counter() - t0
-    return build_report("oracle", n=g.n, m=g.m, k=k, seed=args.seed,
+    return build_report("oracle", n=g.n, m=g.m, k=k, seed=_seed(args),
                         solution=solution_payload(g, labels, sol),
                         stats={"oracle_value": sol.value},
                         times=_times(args, parse=t_parse, solve=t_solve))
@@ -191,7 +201,7 @@ def _cmd_sparsify(args) -> dict:
         "contracted_m": kt.contracted.m,
     }
     extra = {"contracted_edgelist": serialize_graph(kt.contracted)}
-    return build_report("sparsify", n=g.n, m=g.m, k=k, seed=args.seed,
+    return build_report("sparsify", n=g.n, m=g.m, k=k, seed=_seed(args),
                         stats=stats, times=_times(args, parse=t_parse, run=t_run),
                         extra=extra)
 
@@ -210,7 +220,7 @@ def _cmd_treepack(args) -> dict:
         "max_load": max(pack.loads.values()) if pack.loads else 0,
         "trees": trees,
     }
-    return build_report("treepack", n=g.n, m=g.m, k=k, seed=args.seed,
+    return build_report("treepack", n=g.n, m=g.m, k=k, seed=_seed(args),
                         stats=stats, times=_times(args, parse=t_parse, run=t_run))
 
 
@@ -225,7 +235,7 @@ def _cmd_treecut(args) -> dict:
     t_run = time.perf_counter() - t0
     stats = {"lambda": lam, "tree_edges": sorted(tree.edge_ids),
              "trials": cfg.trial.trials}
-    return build_report("treecut", n=g.n, m=g.m, k=k, seed=args.seed,
+    return build_report("treecut", n=g.n, m=g.m, k=k, seed=cfg.trial.seed,
                         solution=solution_payload(g, labels, sol), stats=stats,
                         times=_times(args, parse=t_parse, run=t_run))
 
@@ -235,11 +245,11 @@ def _cmd_gen(args) -> dict:
         if args.n is None:
             raise ConfigError("gen random needs --n")
         t0 = time.perf_counter()
-        h = gen_random(args.n, args.seed, p=args.p, m=args.m,
+        h = gen_random(args.n, _seed(args), p=args.p, m=args.m,
                        simple=not args.multi)
         t_run = time.perf_counter() - t0
         extra = {"kind": "random", "edgelist": serialize_graph(h)}
-        return build_report("gen", n=h.n, m=h.m, seed=args.seed, extra=extra,
+        return build_report("gen", n=h.n, m=h.m, seed=_seed(args), extra=extra,
                             times=_times(args, run=t_run))
     g, labels, t_parse = _parse_timed(args)
     k = _require_k(args)
@@ -248,7 +258,7 @@ def _cmd_gen(args) -> dict:
     t_run = time.perf_counter() - t0
     extra = {"kind": "clique-reduction", "edgelist": serialize_graph(h),
              "expected_value": expected}
-    return build_report("gen", n=h.n, m=h.m, k=k, seed=args.seed, extra=extra,
+    return build_report("gen", n=h.n, m=h.m, k=k, seed=_seed(args), extra=extra,
                         times=_times(args, parse=t_parse, run=t_run))
 
 
@@ -258,18 +268,18 @@ def _cmd_bench(args) -> dict:
     runs = []
     t_all = 0.0
     for i in range(args.count):
-        g = gen_random(args.n, args.seed + i, p=args.p)
+        g = gen_random(args.n, _seed(args) + i, p=args.p)
         t0 = time.perf_counter()
         sol, stats = solve_with_stats(g, k, cfg)
         dt = time.perf_counter() - t0
         t_all += dt
-        row = {"seed": args.seed + i, "n": g.n, "m": g.m, "value": sol.value,
+        row = {"seed": _seed(args) + i, "n": g.n, "m": g.m, "value": sol.value,
                "provenance": sol.provenance,
                "oracle_value": stats["oracle_value"]}
         if not args.no_timing:
             row["time"] = dt
         runs.append(row)
-    return build_report("bench", n=args.n, k=k, seed=args.seed,
+    return build_report("bench", n=args.n, k=k, seed=_seed(args),
                         extra={"runs": runs},
                         times=_times(args, solve=t_all))
 

@@ -8,6 +8,7 @@ preorder intervals.  All traversals are iterative; trees may be deep paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .graph import ContractionMap, MultiGraph, Partition, union_find
@@ -38,38 +39,34 @@ class RootedTree:
         parent: List[Optional[int]] = [None] * n
         parent_edge: List[Optional[int]] = [None] * n
         depth = [0] * n
+        children: List[Tuple[int, ...]] = [()] * n
         seen = [False] * n
         seen[root] = True
+        # preorder with ascending-id child visits: a vertex's children are
+        # its neighbours not yet reached when it is visited
+        order: List[int] = []
         stack = [root]
-        reached = 0
         while stack:
             x = stack.pop()
-            reached += 1
+            order.append(x)
+            kids = []
             for y, eid in adj[x]:
                 if not seen[y]:
                     seen[y] = True
                     parent[y] = x
                     parent_edge[y] = eid
                     depth[y] = depth[x] + 1
-                    stack.append(y)
-        if reached != n:
+                    kids.append(y)
+            if kids:
+                kids.sort()
+                children[x] = tuple(kids)
+                stack.extend(reversed(kids))
+        if len(order) != n:
             raise ValueError("edges do not connect all %d vertices" % n)
         self._parent = tuple(parent)
         self._parent_edge = tuple(parent_edge)
         self.depth = tuple(depth)
-        children: List[List[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if parent[v] is not None:
-                children[parent[v]].append(v)
-        self._children = tuple(tuple(sorted(c)) for c in children)
-        # preorder with ascending-id child visits, then subtree sizes bottom-up
-        order: List[int] = []
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for c in reversed(self._children[x]):
-                stack.append(c)
+        self._children = tuple(children)
         self.order = tuple(order)
         tin = [0] * n
         for i, v in enumerate(order):
@@ -138,12 +135,13 @@ class RootedTree:
         return [(self._parent_edge[v], self._parent[v], v)
                 for v in self.order if v != self.root]
 
-    def root_path(self, v: int) -> List[int]:
-        """Vertices from v up to and including the root."""
-        path = [v]
-        while path[-1] != self.root:
-            path.append(self._parent[path[-1]])
-        return path
+    def lower_end(self, eid: int) -> int:
+        """The child endpoint of tree edge eid."""
+        return self._lower_end[eid]
+
+    @cached_property
+    def _lower_end(self) -> Dict[int, int]:
+        return {e: v for v, e in enumerate(self._parent_edge) if e is not None}
 
     def minimal_elements(self, vertices: Iterable[int]) -> FrozenSet[int]:
         """Subset whose subtrees cover the input: drop anything preceded."""

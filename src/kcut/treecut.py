@@ -70,6 +70,11 @@ class TrialConfig:
     rank_preprocess: bool = False
     sweep_max_edges: int = 12  # subtrees this small enumerate deletions exactly
 
+    def __post_init__(self):
+        if self.trials != "exhaustive" and not (type(self.trials) is int and self.trials >= 1):
+            raise ValueError("trials must be a positive integer or 'exhaustive', got %r"
+                             % (self.trials,))
+
     @property
     def exhaustive(self) -> bool:
         return self.trials == "exhaustive"
@@ -77,7 +82,7 @@ class TrialConfig:
     def trial_count(self, k: int, lam: int, n: int) -> int:
         # the analysis asks for 4^k * lam^k * ln(n+1) repetitions; cap at the
         # configured budget (exhaustive mode over the caps samples a fixed 64)
-        cap = 64 if self.exhaustive else int(self.trials)
+        cap = 64 if self.exhaustive else self.trials
         want = math.ceil(4 ** k * max(lam, 1) ** k * math.log(n + 1))
         return max(1, min(want, cap))
 
@@ -101,11 +106,15 @@ class Coloring:
 
 def color_trial(eprime: Iterable[int], lam: int, rng: random.Random) -> Coloring:
     """Each edge green with probability 1/lam (lam=1 turns everything green)."""
+    dom = frozenset(eprime)
+    return Coloring(dom, _draw_green(sorted(dom), lam, rng))
+
+
+def _draw_green(ordered: Sequence[int], lam: int, rng: random.Random) -> FrozenSet[int]:
+    """One draw per edge, in the given (ascending) order."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
-    dom = frozenset(eprime)
-    green = frozenset(e for e in sorted(dom) if rng.random() < 1.0 / lam)
-    return Coloring(dom, green)
+    return frozenset(e for e in ordered if rng.random() < 1.0 / lam)
 
 
 def all_colorings(eprime: Iterable[int]) -> Iterator[Coloring]:
@@ -154,7 +163,12 @@ class GPrime:
 
 @dataclass(frozen=True)
 class TrialSetting:
-    """One node's graph/tree context under one coloring and contraction."""
+    """One node's graph/tree context under one coloring and contraction.
+
+    `tmap.mapping` is the image of every t vertex in tprime; every class of
+    the contraction is a connected piece of t whose top keeps its parent
+    edge, so that edge names the piece in tprime.
+    """
 
     g: MultiGraph          # graph induced on the node's subtree (local ids)
     t: RootedTree          # the subtree itself, rooted at the node
@@ -162,19 +176,6 @@ class TrialSetting:
     tmap: ContractionMap   # t vertices -> tprime vertices
     coloring: Coloring
     eprime: FrozenSet[int]
-
-    def image(self, v: int) -> int:
-        return self.tmap.apply(v)
-
-    def expand(self, w: int) -> FrozenSet[int]:
-        """Original (local) vertices whose image lies in the tprime subtree of w."""
-        inside = set(self.tprime.subtree(w))
-        return frozenset(v for v in self.t.order if self.tmap.apply(v) in inside)
-
-    def top_of(self, w: int) -> int:
-        """Shallowest original vertex merged into the tprime vertex w."""
-        members = [v for v in self.t.order if self.tmap.apply(v) == w]
-        return min(members, key=lambda v: self.t.depth[v])
 
 
 def incomparable_edges(g: MultiGraph, t: RootedTree, hld: HLD) -> FrozenSet[int]:
@@ -206,19 +207,22 @@ def group_components(
 
     Minimal elements are the contracted images of green endpoints, reduced
     to the shallowest representatives inside each component's subtrees.
+    Components come ordered by their smallest child.
     """
     tp = setting.tprime
-    owner: Dict[int, int] = {}
-    for c in children:
+    image = setting.tmap.mapping
+    children = sorted(children)
+    owner: List[Optional[int]] = [None] * tp.n  # index of the child above each vertex
+    for i, c in enumerate(children):
         for w in tp.subtree(c):
-            owner[w] = c
+            owner[w] = i
     joins: List[Tuple[int, int]] = []
-    touch: Dict[int, List[int]] = {c: [] for c in children}
-    points: Dict[int, List[int]] = {c: [] for c in children}
+    touch: List[List[int]] = [[] for _ in children]
+    points: List[List[int]] = [[] for _ in children]
     for e in sorted(coloring.green):
         a, b = setting.g.endpoints(e)
-        ia, ib = setting.image(a), setting.image(b)
-        ca, cb = owner.get(ia), owner.get(ib)
+        ia, ib = image[a], image[b]
+        ca, cb = owner[ia], owner[ib]
         if ca is not None:
             touch[ca].append(e)
             points[ca].append(ia)
@@ -227,20 +231,19 @@ def group_components(
             points[cb].append(ib)
         if ca is not None and cb is not None and ca != cb:
             joins.append((ca, cb))
-    labels, _ = union_find(tp.n, joins)
-    groups: Dict[int, List[int]] = {}
-    for c in children:
-        groups.setdefault(labels[c], []).append(c)
+    labels, merged = union_find(len(children), joins)
+    groups: List[List[int]] = [[] for _ in range(len(children) - len(merged))]
+    for i, label in enumerate(labels):
+        groups[label].append(i)
     out = []
-    for rep in sorted(groups):
-        members = tuple(sorted(groups[rep]))
+    for group in groups:
         greens: List[int] = []
         endpoints: List[int] = []
-        for c in members:
-            greens.extend(touch[c])
-            endpoints.extend(points[c])
-        minelts = tp.minimal_elements(endpoints)
-        out.append(CandidateSet(members, minelts, frozenset(greens)))
+        for i in group:
+            greens.extend(touch[i])
+            endpoints.extend(points[i])
+        members = tuple(children[i] for i in group)
+        out.append(CandidateSet(members, tp.minimal_elements(endpoints), frozenset(greens)))
     return out
 
 
@@ -253,50 +256,54 @@ def _classify(setting: TrialSetting, candidates: Sequence[CandidateSet]):
     stubs; uncolored edges below one common minimal element can never be
     cut by an ancestor cut and vanish; everything else is kept with
     outside endpoints clamped to the root.
+
+    Candidates are disjoint and keep their minimal elements inside their
+    own subtrees, as `group_components` makes them, so all minimal
+    elements form one antichain: each tprime vertex lies below at most
+    one of them, and that one belongs to the vertex's own candidate.
     """
     tp = setting.tprime
-    cand_of: Dict[int, int] = {}
+    image = setting.tmap.mapping
+    owner: List[Optional[int]] = [None] * tp.n  # candidate holding each vertex
+    above: List[Optional[int]] = [None] * tp.n  # minimal element above each vertex
     for i, u in enumerate(candidates):
         for c in u.members:
             for w in tp.subtree(c):
-                cand_of[w] = i
-    under: Dict[int, FrozenSet[int]] = {}
-    for i, u in enumerate(candidates):
-        inside = set()
+                owner[w] = i
         for s in u.minelts:
-            inside |= set(tp.subtree(s))
-        under[i] = frozenset(inside)
+            for w in tp.subtree(s):
+                above[w] = s
     edges: List[List[Tuple[int, int]]] = [[] for _ in candidates]
-    bcount = [0 for _ in candidates]
-    for e in setting.g.edge_ids:
-        a, b = setting.g.endpoints(e)
-        ia, ib = setting.image(a), setting.image(b)
-        ca = cand_of.get(ia)
-        cb = cand_of.get(ib)
-        if e in setting.eprime:
-            per_cand: Dict[int, List[Tuple[int, int]]] = {}
-            for end, cc, img in ((a, ca, ia), (b, cb, ib)):
-                if cc is not None:
-                    per_cand.setdefault(cc, []).append((end, img))
-            for cc, ends in per_cand.items():
-                if any(img in under[cc] for _, img in ends):
-                    bcount[cc] += 1  # severed with its minimal element's subtree
-                else:
-                    for end, _ in ends:
-                        edges[cc].append((end, ROOT))
-        else:
-            if ca is None and cb is None:
-                continue
-            cc = ca if ca is not None else cb
+    bcount = [0] * len(candidates)
+    g, eprime = setting.g, setting.eprime
+    for e in g.edge_ids:
+        a, b = g.endpoints(e)
+        ia, ib = image[a], image[b]
+        ca, cb = owner[ia], owner[ib]
+        if ca is None and cb is None:
+            continue
+        if e in eprime:
             if ca == cb:
-                mins = {s for s in candidates[cc].minelts
-                        if tp.precedes(s, ia) and tp.precedes(s, ib)}
-                if mins:
-                    continue  # both below one minimal element: internal forever
-                edges[cc].append((a, b))
-            else:
-                inside_end = a if ca is not None else b
-                edges[cc].append((inside_end, ROOT))
+                if above[ia] is not None or above[ib] is not None:
+                    bcount[ca] += 1  # severed with its minimal element's subtree
+                else:
+                    edges[ca].extend(((a, ROOT), (b, ROOT)))
+                continue
+            for end, cc, img in ((a, ca, ia), (b, cb, ib)):
+                if cc is None:
+                    continue
+                if above[img] is not None:
+                    bcount[cc] += 1
+                else:
+                    edges[cc].append((end, ROOT))
+        elif ca == cb:
+            if above[ia] is None or above[ia] != above[ib]:
+                edges[ca].append((a, b))
+            # else both below one minimal element: internal forever
+        elif ca is not None:
+            edges[ca].append((a, ROOT))
+        else:
+            edges[cb].append((b, ROOT))
     return [GPrime(tuple(es), bc) for es, bc in zip(edges, bcount)]
 
 
@@ -330,17 +337,6 @@ class StateTable:
         return (x, parts) in self._value
 
 
-def _boundary_count(gp: GPrime, piece: Mapping[int, int]) -> int:
-    """Edges of the cut graph whose endpoints land in different pieces."""
-    total = 0
-    for a, b in gp.edges:
-        pa = piece.get(a, ROOT) if a != ROOT else ROOT
-        pb = piece.get(b, ROOT) if b != ROOT else ROOT
-        if pa != pb:
-            total += 1
-    return total
-
-
 def _selection_pool(tp: RootedTree, member: int, minelts: Sequence[int]) -> List[int]:
     """Inclusive ancestors of each minimal element, up to the member itself."""
     pool = {member}
@@ -356,14 +352,6 @@ def _selection_pool(tp: RootedTree, member: int, minelts: Sequence[int]) -> List
 
 def _member_minelts(tp: RootedTree, member: int, u: CandidateSet) -> List[int]:
     return sorted(s for s in u.minelts if tp.precedes(member, s))
-
-
-def _piece_labels(setting: TrialSetting, selection: Sequence[int]) -> Dict[int, int]:
-    piece: Dict[int, int] = {}
-    for idx, w in enumerate(selection):
-        for v in setting.expand(w):
-            piece[v] = idx
-    return piece
 
 
 def _member_table(
@@ -384,8 +372,24 @@ def _member_table(
     with the explicit deletions behind it.
     """
     tp = setting.tprime
+    image = setting.tmap.mapping
     mins = _member_minelts(tp, member, u)
     pool = _selection_pool(tp, member, mins)
+    # the cut graph on tprime vertices: root stubs counted per vertex, and
+    # the edges whose ends have different images
+    stubs = [0] * tp.n
+    inner: List[Tuple[int, int]] = []
+    for a, b in gp.edges:
+        ia = ROOT if a == ROOT else image[a]
+        ib = ROOT if b == ROOT else image[b]
+        if ia == ib:
+            continue  # one piece holds both ends of every selection
+        if ib == ROOT:
+            stubs[ia] += 1
+        elif ia == ROOT:
+            stubs[ib] += 1
+        else:
+            inner.append((ia, ib))
     out: Dict[int, Tuple[float, FrozenSet[int]]] = {}
     top_r = min(len(pool), r_cap, max_budget)
     for r in range(1, top_r + 1):
@@ -394,16 +398,22 @@ def _member_table(
                 continue
             if any(not any(tp.precedes(w, s) for w in sel) for s in mins):
                 continue
-            piece = _piece_labels(setting, sel)
-            base = _boundary_count(gp, piece)
-            tops = [setting.top_of(w) for w in sel]
-            top_edges = [setting.t.parent_edge(v) for v in tops]
+            # boundary: stubs inside a selected subtree, inner edges across pieces
+            piece = [ROOT] * tp.n
+            base = 0
+            for idx, w in enumerate(sel):
+                for x in tp.subtree(w):
+                    piece[x] = idx
+                    base += stubs[x]
+            base += sum(1 for x, y in inner if piece[x] != piece[y])
+            # a piece's parent edge in tprime is the parent edge of its top in t
+            top_edges = [tp.parent_edge(w) for w in sel]
             # spend the remaining budget below the selected subtrees
             options: List[List[Tuple[int, float, Optional[FrozenSet[int]]]]] = []
-            for v in tops:
+            for e in top_edges:
                 opts = [(1, 0.0, frozenset())]
                 if states is not None:
-                    orig = rev[v] if rev is not None else v
+                    orig = rev[setting.t.lower_end(e)]
                     for spend in range(2, max_budget - r + 2):
                         if states.known(orig, spend) and states.value(orig, spend) < INF:
                             opts.append((spend, states.value(orig, spend),
@@ -548,10 +558,31 @@ def _sweep_cell(sub: MultiGraph, local_t: RootedTree, parts: int):
     return best
 
 
+class _SubtreeTrials:
+    """What every trial cell of one subtree shares, built once per vertex.
+
+    Holds the subtree instance, its HLD, E' (also sorted, for drawing
+    colorings) and every branch contraction built so far, by pattern.
+    """
+
+    def __init__(self, sub: MultiGraph, local_t: RootedTree, rev: Sequence[int]):
+        self.sub, self.local_t, self.rev = sub, local_t, rev
+        self.hld = build_hld(local_t)
+        self.eprime = incomparable_edges(sub, local_t, self.hld)
+        self.eprime_sorted = tuple(sorted(self.eprime))
+        self._contracted: Dict[Tuple[int, ...], Tuple[RootedTree, ContractionMap]] = {
+            (): (local_t, ContractionMap.identity(local_t.n))}
+
+    def contract(self, pattern: Tuple[int, ...]) -> Tuple[RootedTree, ContractionMap]:
+        hit = self._contracted.get(pattern)
+        if hit is None:
+            hit = contract_branches(self.local_t, self.hld, pattern)
+            self._contracted[pattern] = hit
+        return hit
+
+
 def _cell_trials(
-    sub: MultiGraph,
-    local_t: RootedTree,
-    rev: Sequence[int],
+    ctx: _SubtreeTrials,
     parts: int,
     k: int,
     lam: int,
@@ -560,8 +591,7 @@ def _cell_trials(
     node_key,
 ):
     """Randomized or family-enumerated trials for one (subtree, parts) cell."""
-    hld = build_hld(local_t)
-    eprime = incomparable_edges(sub, local_t, hld)
+    sub, local_t, hld, eprime = ctx.sub, ctx.local_t, ctx.hld, ctx.eprime
     target = parts - 1
     r_cap = config.r_cap if config.r_cap is not None else k
     trials: List[Tuple[Coloring, Tuple[int, ...]]] = []
@@ -570,7 +600,7 @@ def _cell_trials(
     if config.exhaustive and len(eprime) <= config.exhaustive_eprime_cap \
             and hld.branch_count <= config.exhaustive_branch_cap:
         greens = [frozenset(c) for size in range(1, target + 1)
-                  for c in itertools.combinations(sorted(eprime), size)]
+                  for c in itertools.combinations(ctx.eprime_sorted, size)]
         patterns = list(branch_patterns(hld, target))
         for green in greens:
             for pat in patterns:
@@ -579,10 +609,10 @@ def _cell_trials(
             trials.append((empty, pat))
     else:
         count = config.trial_count(k, lam, local_t.n)
+        prob = 1.0 / max(1, math.ceil(math.log2(max(local_t.n, 2))))
         for i in range(count):
             rng = derived_rng(config.seed, node_key, parts, i)
-            coloring = color_trial(eprime, lam, rng)
-            prob = 1.0 / max(1, math.ceil(math.log2(max(local_t.n, 2))))
+            coloring = Coloring(eprime, _draw_green(ctx.eprime_sorted, lam, rng))
             pat = tuple(b for b in range(hld.branch_count) if rng.random() < prob)
             trials.append((coloring, pat))
     if len(trials) > 20000:
@@ -594,12 +624,11 @@ def _cell_trials(
         if key in seen_settings:
             continue
         seen_settings.add(key)
-        tprime, tmap = contract_branches(local_t, hld, pattern)
+        tprime, tmap = ctx.contract(pattern)
         if tprime.n < 2:
             continue
         setting = TrialSetting(sub, local_t, tprime, tmap, coloring, eprime)
-        children = list(tprime.children(tprime.root))
-        candidates = group_components(children, coloring, setting)
+        candidates = group_components(tprime.children(tprime.root), coloring, setting)
         gps = _classify(setting, candidates)
         tables = []
         recons: List[Dict[int, FrozenSet[int]]] = []
@@ -607,7 +636,7 @@ def _cell_trials(
             table: Dict[int, float] = {}
             recon: Dict[int, FrozenSet[int]] = {}
             for b in range(1, target + 1):
-                val, cert = eval_f_p(u, b, gp, setting, states, rev, r_cap)
+                val, cert = eval_f_p(u, b, gp, setting, states, ctx.rev, r_cap)
                 if val < INF:
                     table[b] = val
                     recon[b] = cert
@@ -648,6 +677,7 @@ def fill_states(
         if top >= 1:
             states.set(x, 1, 0, frozenset())
         sub = local_t = rev = None
+        ctx = None  # x's trial context, shared by its trial cells
         for parts in range(2, top + 1):
             if edges_avail < parts - 1:
                 states.set(x, parts, INF, None)
@@ -657,7 +687,9 @@ def fill_states(
             if edges_avail <= config.sweep_max_edges:
                 value, cert = _sweep_cell(sub, local_t, parts)
             else:
-                hit = _cell_trials(sub, local_t, rev, parts, k, lam, states, config, x)
+                if ctx is None:
+                    ctx = _SubtreeTrials(sub, local_t, rev)
+                hit = _cell_trials(ctx, parts, k, lam, states, config, x)
                 if hit is None:
                     value, cert = INF, None
                 else:

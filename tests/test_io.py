@@ -237,6 +237,47 @@ class TestCli:
         assert run_cli(["solve", "--k", "2", "--config",
                         '{"solver": {"bogus_field": 3}}', path]) == 1
 
+    def test_flags_win_over_config_trial_section(self, tmp_path, capsys, monkeypatch):
+        import kcut.cli
+        ran = []
+        real = kcut.cli.solve_with_stats
+
+        def spy(g, k, cfg):
+            ran.append(cfg.trial)
+            return real(g, k, cfg)
+
+        monkeypatch.setattr(kcut.cli, "solve_with_stats", spy)
+        path = write(tmp_path, "bridge.txt", bridge_text())
+        section = '{"trial": {"trials": 64, "seed": 3}}'
+        code, report = run_json(capsys, ["solve", "--k", "2", "--trials", "5",
+                                         "--config", section, path])
+        assert code == 0
+        assert (ran[-1].trials, ran[-1].seed) == (5, 3)  # no --seed: the file's seed runs
+        assert report["stats"]["trials"] == 5
+        assert report["instance"]["seed"] == 3
+        code, report = run_json(capsys, ["solve", "--k", "2", "--seed", "9", "--exhaustive",
+                                         "--config", section, path])
+        assert code == 0
+        assert (ran[-1].trials, ran[-1].seed) == ("exhaustive", 9)
+        assert report["stats"]["trials"] == "exhaustive"
+        assert report["instance"]["seed"] == 9
+        code, report = run_json(capsys, ["treecut", "--k", "2", "--config", section, path])
+        assert code == 0
+        assert report["stats"]["trials"] == 64
+        assert report["instance"]["seed"] == 3
+
+    def test_bad_trial_count_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "bridge.txt", bridge_text())
+        for bad in ('"many"', "0", "-3", "2.5", "true", "null"):
+            section = '{"trial": {"trials": %s}}' % bad
+            for command in ("solve", "treecut"):
+                assert run_cli([command, "--k", "2", "--config", section, path]) == 1
+                assert "bad trial override" in capsys.readouterr().err
+        assert run_cli(["solve", "--k", "2", "--trials", "0", path]) == 1
+        code, _ = run_json(capsys, ["solve", "--k", "2", "--config",
+                                    '{"trial": {"trials": 1}}', path])
+        assert code == 0
+
     def test_unknown_flag_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "tri.txt", "0 1\n")
         assert run_cli(["solve", "--k", "2", "--wat", path]) == 1

@@ -145,6 +145,18 @@ class TestContractSafeEdges:
                 assert min_st_cut(g2, u, v)[0] <= lam
 
 
+class TestTrialConfig:
+    def test_accepts_positive_counts_and_exhaustive(self):
+        assert TrialConfig(trials=1).trial_count(2, 3, 10) == 1
+        assert TrialConfig(trials=5).trials == 5
+        assert TrialConfig(trials="exhaustive").exhaustive
+
+    @pytest.mark.parametrize("bad", ["many", "16", 0, -3, 2.5, True, None])
+    def test_rejects_other_trial_counts(self, bad):
+        with pytest.raises(ValueError):
+            TrialConfig(trials=bad)
+
+
 class TestColoring:
     def test_lam_one_everything_green(self):
         c = color_trial([3, 5, 9], 1, random.Random(0))
@@ -355,7 +367,7 @@ class TestClassifyReference:
         """Seeded colorings over E' crossed with HLD contraction patterns."""
         hld = build_hld(t)
         eprime = incomparable_edges(g, t, hld)
-        for _ in range(6):
+        for _ in range(8):
             coloring = color_trial(eprime, rng.choice((1, 2, 3)), rng)
             pattern = tuple(b for b in range(hld.branch_count) if rng.random() < 0.3)
             tprime, tmap = contract_branches(t, hld, pattern)
@@ -363,7 +375,7 @@ class TestClassifyReference:
                 yield TrialSetting(g, t, tprime, tmap, coloring, eprime)
 
     def graphs(self, rng):
-        for _ in range(30):
+        for _ in range(60):
             n = rng.randrange(5, 12)
             if rng.random() < 0.5:
                 g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
@@ -386,7 +398,7 @@ class TestClassifyReference:
                 for u in cands:
                     assert build_gprime(s, u) == reference_classify(s, [u])[0]
                 checked += len(cands)
-        assert checked > 200
+        assert checked > 500
 
 
 class TestEvalF:
