@@ -165,9 +165,10 @@ class GPrime:
 class TrialSetting:
     """One node's graph/tree context under one coloring and contraction.
 
-    `tmap.mapping` is the image of every t vertex in tprime; every class of
-    the contraction is a connected piece of t whose top keeps its parent
-    edge, so that edge names the piece in tprime.
+    `tmap.mapping` is the image of every t vertex in tprime.  Every class
+    of the contraction is a connected piece of t; outside the root's
+    class, the piece's top keeps its parent edge, which names the piece's
+    vertex in tprime.
     """
 
     g: MultiGraph          # graph induced on the node's subtree (local ids)
