@@ -493,6 +493,163 @@ class TestEvalFP:
         assert narrow >= wide
 
 
+def reference_member_table(setting, member, u, gp, states, rev, r_cap, max_budget):
+    """The per-member selection table as written when each budget was priced
+    by its own call: selections of incomparable pool vertices covering every
+    minimal element, extra budget spent through the state table."""
+    tp = setting.tprime
+    image = setting.tmap.mapping
+    mins = sorted(s for s in u.minelts if tp.precedes(member, s))
+    pool = {member}
+    for s in mins:
+        v = s
+        while True:
+            pool.add(v)
+            if v == member:
+                break
+            v = tp.parent(v)
+    pool = sorted(pool)
+    stubs = [0] * tp.n
+    inner = []
+    for a, b in gp.edges:
+        ia = -1 if a == -1 else image[a]
+        ib = -1 if b == -1 else image[b]
+        if ia == ib:
+            continue
+        if ib == -1:
+            stubs[ia] += 1
+        elif ia == -1:
+            stubs[ib] += 1
+        else:
+            inner.append((ia, ib))
+    out = {}
+    for r in range(1, min(len(pool), r_cap, max_budget) + 1):
+        for sel in itertools.combinations(pool, r):
+            if any(not tp.incomparable(a, b) for a, b in itertools.combinations(sel, 2)):
+                continue
+            if any(not any(tp.precedes(w, s) for w in sel) for s in mins):
+                continue
+            piece = [-1] * tp.n
+            base = 0
+            for idx, w in enumerate(sel):
+                for x in tp.subtree(w):
+                    piece[x] = idx
+                    base += stubs[x]
+            base += sum(1 for x, y in inner if piece[x] != piece[y])
+            top_edges = [tp.parent_edge(w) for w in sel]
+            options = []
+            for e in top_edges:
+                opts = [(1, 0.0, frozenset())]
+                if states is not None:
+                    orig = rev[setting.t.lower_end(e)]
+                    for spend in range(2, max_budget - r + 2):
+                        if states.known(orig, spend) and states.value(orig, spend) < INF:
+                            opts.append((spend, states.value(orig, spend),
+                                         states.cert(orig, spend)))
+                options.append(opts)
+            combo = {0: (0.0, frozenset())}
+            for opts in options:
+                nxt = {}
+                for spent, (val, cert) in combo.items():
+                    for add, v2, c2 in opts:
+                        tot = spent + add
+                        if tot > max_budget:
+                            continue
+                        cand = (val + v2, cert | c2)
+                        if tot not in nxt or cand[0] < nxt[tot][0]:
+                            nxt[tot] = cand
+                combo = nxt
+            for spent, (val, cert) in combo.items():
+                full = cert | frozenset(top_edges)
+                score = base + val
+                if spent not in out or score < out[spent][0]:
+                    out[spent] = (score, full)
+    return out
+
+
+def reference_eval_f(u, gp, setting):
+    total = gp.bcount
+    cert = frozenset()
+    for member in u.members:
+        table = reference_member_table(setting, member, u, gp, None, None, 1, 1)
+        if 1 not in table:
+            return INF, frozenset()
+        val, part = table[1]
+        total += val
+        cert |= part
+    return total, cert
+
+
+def reference_eval_f_p(u, p, gp, setting, states, rev, r_cap):
+    if p < len(u.members):
+        return INF, frozenset()
+    tables = []
+    for member in u.members:
+        table = reference_member_table(setting, member, u, gp, states, rev, r_cap, p)
+        if not table:
+            return INF, frozenset()
+        tables.append(table)
+    combo = {0: (0.0, frozenset())}
+    for table in tables:
+        nxt = {}
+        for spent, (val, cert) in combo.items():
+            for d, (v2, c2) in table.items():
+                tot = spent + d
+                if tot > p:
+                    continue
+                cand = (val + v2, cert | c2)
+                if tot not in nxt or cand[0] < nxt[tot][0]:
+                    nxt[tot] = cand
+        combo = nxt
+    if p not in combo:
+        return INF, frozenset()
+    val, cert = combo[p]
+    return gp.bcount + val, cert
+
+
+class TestEstimatorReference:
+    """`eval_f` and `eval_f_p` against the per-budget estimator they replaced,
+    value and deletion set, on trial settings whose budgets reach 3 and 4."""
+
+    def cases(self, rng):
+        for _ in range(40):
+            n = rng.randrange(6, 12)
+            if rng.random() < 0.5:
+                g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
+            else:
+                extra = random_multigraph(rng, n, rng.randrange(n, 3 * n))
+                g = from_pairs(n, [(i, i + 1) for i in range(n - 1)]
+                               + [extra.endpoints(e) for e in extra.edge_ids])
+            tree_ids = random_spanning_tree(rng, g).edge_ids
+            t = RootedTree.from_edge_ids(g, tree_ids, root=rng.randrange(n))
+            k = rng.choice((3, 4, 5))
+            states = fill_states(g, t, k, 4, TrialConfig(seed=rng.randrange(100)))
+            for s in TestClassifyReference().trial_settings(rng, g, t):
+                cands = group_components(list(s.tprime.children(s.tprime.root)),
+                                         s.coloring, s)
+                for u, gp in zip(cands, _classify(s, cands)):
+                    yield s, states, k, u, gp
+
+    def test_estimates_match_reference(self):
+        rng = random.Random(53)
+        priced = splits = 0
+        for s, states, k, u, gp in self.cases(rng):
+            rev = list(range(s.t.n))
+            assert eval_f(u, gp, s) == reference_eval_f(u, gp, s)
+            for r_cap in sorted({1, 2, k}):
+                for b in range(1, k):
+                    want = reference_eval_f_p(u, b, gp, s, states, rev, r_cap)
+                    assert eval_f_p(u, b, gp, s, states, rev, r_cap) == want
+                    if want[0] < INF:
+                        priced += 1
+                        # a state-table split puts a deletion below a selected top
+                        lows = [s.t.lower_end(e) for e in want[1]]
+                        splits += b >= 3 and any(s.t.precedes(a, c) for a in lows
+                                                 for c in lows if a != c)
+        assert priced > 1000
+        assert splits > 50
+
+
 class TestKnapsack:
     def test_spec_arithmetic(self):
         items = [{1: 2}, {1: 3, 2: 4}]
