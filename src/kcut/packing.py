@@ -29,8 +29,8 @@ def greedy_tree_packing(g: MultiGraph, count: int) -> TreePack:
     """
     if count < 1:
         raise ValueError("tree count must be positive")
-    if g.n > 0 and connected_components(g).k != 1:
-        raise ValueError("tree packing needs a connected graph")
+    if g.n == 0 or connected_components(g).k != 1:
+        raise ValueError("tree packing needs a connected graph with at least one vertex")
     loads = {e: 0 for e in g.edge_ids}
     trees = []
     for _ in range(count):

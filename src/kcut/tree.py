@@ -207,7 +207,6 @@ class HLD:
     """
 
     branch_id: Dict[int, int]
-    branch_vertices: Tuple[Tuple[int, ...], ...]
     subroot: Tuple[int, ...]
 
     @property
@@ -234,16 +233,10 @@ def build_hld(t: RootedTree) -> HLD:
     heads = [v for v in t.order
              if v != t.root and (heavy[t.parent(v)] != v or t.parent(v) == t.root)]
     branch_id: Dict[int, int] = {}
-    branch_vertices = []
-    subroots = []
     for b, head in enumerate(heads):
-        verts = [t.parent(head), head]
         branch_id[t.parent_edge(head)] = b
         x = head
         while heavy[x] is not None:
             x = heavy[x]
-            verts.append(x)
             branch_id[t.parent_edge(x)] = b
-        branch_vertices.append(tuple(verts))
-        subroots.append(head)
-    return HLD(branch_id, tuple(branch_vertices), tuple(subroots))
+    return HLD(branch_id, tuple(heads))

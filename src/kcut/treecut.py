@@ -56,18 +56,18 @@ from .tree import (
 
 INF = math.inf
 ROOT = -1  # stand-in endpoint for "kept with the root side" in the cut graph
+# exhaustive trials enumerate colorings and contraction patterns only while
+# E' and the branch count stay this small; larger subtrees sample instead
+EXHAUSTIVE_EPRIME_CAP = 20
+EXHAUSTIVE_BRANCH_CAP = 16
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Knobs for the randomized trials and their exhaustive replacements."""
+    """Seed and count of the randomized trials, and where exact sweeps stop."""
 
     seed: int = 0
     trials: Union[int, str] = 16  # an integer, or "exhaustive"
-    exhaustive_eprime_cap: int = 20
-    exhaustive_branch_cap: int = 16
-    r_cap: Optional[int] = None  # None: only the budget itself limits selections
-    rank_preprocess: bool = False
     sweep_max_edges: int = 12  # subtrees this small enumerate deletions exactly
 
     def __post_init__(self):
@@ -99,9 +99,6 @@ class Coloring:
 
     domain: FrozenSet[int]
     green: FrozenSet[int]
-
-    def is_green(self, eid: int) -> bool:
-        return eid in self.green
 
 
 def color_trial(eprime: Iterable[int], lam: int, rng: random.Random) -> Coloring:
@@ -355,6 +352,30 @@ def _member_minelts(tp: RootedTree, member: int, u: CandidateSet) -> List[int]:
     return sorted(s for s in u.minelts if tp.precedes(member, s))
 
 
+Option = Tuple[int, float, FrozenSet[int]]  # (deletions spent, cost, deletion set)
+Priced = Dict[int, Tuple[float, FrozenSet[int]]]  # deletions spent -> (cost, deletion set)
+
+
+def _min_plus(groups: Iterable[Sequence[Option]], cap: int) -> Priced:
+    """Cheapest pick of one option per group, for every total spend up to cap.
+
+    Ties keep the first combination reached, in group and option order.
+    """
+    combo: Priced = {0: (0.0, frozenset())}
+    for opts in groups:
+        nxt: Priced = {}
+        for spent, (val, cert) in combo.items():
+            for add, v2, c2 in opts:
+                tot = spent + add
+                if tot > cap:
+                    continue
+                cost = val + v2
+                if tot not in nxt or cost < nxt[tot][0]:
+                    nxt[tot] = (cost, cert | c2)
+        combo = nxt
+    return combo
+
+
 def _member_table(
     setting: TrialSetting,
     member: int,
@@ -364,7 +385,7 @@ def _member_table(
     rev: Optional[Sequence[int]],
     r_cap: int,
     max_budget: int,
-) -> Dict[int, Tuple[float, FrozenSet[int]]]:
+) -> Priced:
     """Cheapest handling of one member subtree per deletion budget.
 
     A selection severs incomparable tprime subtrees covering every minimal
@@ -391,7 +412,7 @@ def _member_table(
             stubs[ib] += 1
         else:
             inner.append((ia, ib))
-    out: Dict[int, Tuple[float, FrozenSet[int]]] = {}
+    out: Priced = {}
     top_r = min(len(pool), r_cap, max_budget)
     for r in range(1, top_r + 1):
         for sel in itertools.combinations(pool, r):
@@ -410,9 +431,9 @@ def _member_table(
             # a piece's parent edge in tprime is the parent edge of its top in t
             top_edges = [tp.parent_edge(w) for w in sel]
             # spend the remaining budget below the selected subtrees
-            options: List[List[Tuple[int, float, Optional[FrozenSet[int]]]]] = []
+            options: List[List[Option]] = []
             for e in top_edges:
-                opts = [(1, 0.0, frozenset())]
+                opts: List[Option] = [(1, 0.0, frozenset())]
                 if states is not None:
                     orig = rev[setting.t.lower_end(e)]
                     for spend in range(2, max_budget - r + 2):
@@ -420,24 +441,54 @@ def _member_table(
                             opts.append((spend, states.value(orig, spend),
                                          states.cert(orig, spend)))
                 options.append(opts)
-            combo: Dict[int, Tuple[float, FrozenSet[int]]] = {0: (0.0, frozenset())}
-            for opts in options:
-                nxt: Dict[int, Tuple[float, FrozenSet[int]]] = {}
-                for spent, (val, cert) in combo.items():
-                    for add, v2, c2 in opts:
-                        tot = spent + add
-                        if tot > max_budget:
-                            continue
-                        cand = (val + v2, cert | c2)
-                        if tot not in nxt or cand[0] < nxt[tot][0]:
-                            nxt[tot] = cand
-                combo = nxt
-            for spent, (val, cert) in combo.items():
+            for spent, (val, cert) in _min_plus(options, max_budget).items():
                 full = cert | frozenset(top_edges)
                 score = base + val
                 if spent not in out or score < out[spent][0]:
                     out[spent] = (score, full)
     return out
+
+
+def eval_f_budgets(
+    u: CandidateSet,
+    target: int,
+    gp: GPrime,
+    setting: TrialSetting,
+    states: Optional[StateTable],
+    rev: Optional[Sequence[int]],
+    r_cap: int,
+) -> Priced:
+    """Estimate for every deletion budget b <= target across the members.
+
+    Every member takes at least one deletion; leftover budget buys deeper
+    splits through the state table.  Maps each feasible b to its estimate
+    (always finite) and the exact deletion set it stands for.  Entry b,
+    ties included, is what pricing budget b on its own gives: every option
+    spends at least one deletion, so the options a larger cap adds only
+    reach totals above b.  For the same reason no member spends more than
+    target - len(members) + 1.
+    """
+    cap = target - len(u.members) + 1
+    if cap < 1:
+        return {}
+    tables = [_member_table(setting, member, u, gp, states, rev, r_cap, cap)
+              for member in u.members]
+    combo = _min_plus([[(d, val, cert) for d, (val, cert) in table.items()]
+                       for table in tables], target)
+    return {b: (gp.bcount + val, cert) for b, (val, cert) in combo.items()}
+
+
+def eval_f_p(
+    u: CandidateSet,
+    p: int,
+    gp: GPrime,
+    setting: TrialSetting,
+    states: Optional[StateTable],
+    rev: Optional[Sequence[int]],
+    r_cap: int,
+) -> Tuple[float, FrozenSet[int]]:
+    """General estimate with a deletion budget of p across the members."""
+    return eval_f_budgets(u, p, gp, setting, states, rev, r_cap).get(p, (INF, frozenset()))
 
 
 def eval_f(
@@ -448,57 +499,7 @@ def eval_f(
     Returns the estimate and the tree edges it would delete; the estimate
     never undershoots the true minimum ancestor cut.
     """
-    total: float = gp.bcount
-    cert: FrozenSet[int] = frozenset()
-    for member in u.members:
-        table = _member_table(setting, member, u, gp, None, None, 1, 1)
-        if 1 not in table:
-            return INF, frozenset()
-        val, part = table[1]
-        total += val
-        cert |= part
-    return total, cert
-
-
-def eval_f_p(
-    u: CandidateSet,
-    p: int,
-    gp: GPrime,
-    setting: TrialSetting,
-    states: StateTable,
-    rev: Sequence[int],
-    r_cap: int,
-) -> Tuple[float, FrozenSet[int]]:
-    """General estimate with a deletion budget of p across the members.
-
-    Every member takes at least one deletion; leftover budget buys deeper
-    splits through the state table.  Feasible results come with the exact
-    deletion set they stand for.
-    """
-    if p < len(u.members):
-        return INF, frozenset()
-    tables = []
-    for member in u.members:
-        table = _member_table(setting, member, u, gp, states, rev, r_cap, p)
-        if not table:
-            return INF, frozenset()
-        tables.append(table)
-    combo: Dict[int, Tuple[float, FrozenSet[int]]] = {0: (0.0, frozenset())}
-    for table in tables:
-        nxt: Dict[int, Tuple[float, FrozenSet[int]]] = {}
-        for spent, (val, cert) in combo.items():
-            for d, (v2, c2) in table.items():
-                tot = spent + d
-                if tot > p:
-                    continue
-                cand = (val + v2, cert | c2)
-                if tot not in nxt or cand[0] < nxt[tot][0]:
-                    nxt[tot] = cand
-        combo = nxt
-    if p not in combo:
-        return INF, frozenset()
-    val, cert = combo[p]
-    return gp.bcount + val, cert
+    return eval_f_p(u, len(u.members), gp, setting, None, None, 1)
 
 
 def knapsack_combine(
@@ -594,12 +595,11 @@ def _cell_trials(
     """Randomized or family-enumerated trials for one (subtree, parts) cell."""
     sub, local_t, hld, eprime = ctx.sub, ctx.local_t, ctx.hld, ctx.eprime
     target = parts - 1
-    r_cap = config.r_cap if config.r_cap is not None else k
     trials: List[Tuple[Coloring, Tuple[int, ...]]] = []
     empty = Coloring(eprime, frozenset())
     trials.append((empty, ()))
-    if config.exhaustive and len(eprime) <= config.exhaustive_eprime_cap \
-            and hld.branch_count <= config.exhaustive_branch_cap:
+    if config.exhaustive and len(eprime) <= EXHAUSTIVE_EPRIME_CAP \
+            and hld.branch_count <= EXHAUSTIVE_BRANCH_CAP:
         greens = [frozenset(c) for size in range(1, target + 1)
                   for c in itertools.combinations(ctx.eprime_sorted, size)]
         patterns = list(branch_patterns(hld, target))
@@ -630,25 +630,15 @@ def _cell_trials(
             continue
         setting = TrialSetting(sub, local_t, tprime, tmap, coloring, eprime)
         candidates = group_components(tprime.children(tprime.root), coloring, setting)
-        gps = _classify(setting, candidates)
-        tables = []
-        recons: List[Dict[int, FrozenSet[int]]] = []
-        for u, gp in zip(candidates, gps):
-            table: Dict[int, float] = {}
-            recon: Dict[int, FrozenSet[int]] = {}
-            for b in range(1, target + 1):
-                val, cert = eval_f_p(u, b, gp, setting, states, ctx.rev, r_cap)
-                if val < INF:
-                    table[b] = val
-                    recon[b] = cert
-            tables.append(table)
-            recons.append(recon)
-        value, sel = knapsack_combine(tables, target)
+        priced = [eval_f_budgets(u, target, gp, setting, states, ctx.rev, k)
+                  for u, gp in zip(candidates, _classify(setting, candidates))]
+        value, sel = knapsack_combine(
+            [{b: val for b, (val, _) in table.items()} for table in priced], target)
         if value == INF:
             continue
         cert: FrozenSet[int] = frozenset()
         for i, b in sel:
-            cert |= recons[i][b]
+            cert |= priced[i][b][1]
         if len(cert) != target:
             continue  # overlapping proposals cannot certify this cell
         true_value = _score_deletion(sub, local_t, cert)
@@ -749,42 +739,6 @@ def _st_cut_exceeds(g: MultiGraph, s: int, tt: int, lam: int) -> bool:
     return min_st_cut(g, s, tt, limit=lam + 1)[0] > lam
 
 
-def rank_preprocess(
-    t: RootedTree, hld: HLD, config: TrialConfig, rng: random.Random, k: int = 2
-):
-    """Guess vertices whose root paths the optimum keeps intact, and contract them.
-
-    Only meaningful for large k; with k <= 4 the repetition formula
-    degenerates, so the tree passes through untouched.
-    """
-    identity = ContractionMap.identity(t.n)
-    candidates = [((), t, identity)]
-    if k <= 4 or not config.rank_preprocess:
-        return candidates
-    denom = math.log2(math.sqrt(k)) - 1
-    reps = max(1, math.ceil(k / denom))
-    if config.exhaustive and t.n <= 8:
-        pools: List[Tuple[int, ...]] = []
-        for tt in range(1, min(reps, 2) + 1):
-            pools.extend(itertools.combinations(range(t.n), tt))
-        pools = pools[:200]
-    else:
-        pools = []
-        for _ in range(min(reps, 16)):
-            tt = rng.randrange(1, reps + 1)
-            pools.append(tuple(sorted(rng.sample(range(t.n), min(tt, t.n)))))
-    for chosen in pools:
-        path_edges = set()
-        for v in chosen:
-            w = v
-            while w != t.root:
-                path_edges.add(t.parent_edge(w))
-                w = t.parent(w)
-        if path_edges:
-            candidates.append((chosen, *tree_quotient(t, path_edges)))
-    return candidates
-
-
 def tree_cut(
     g: MultiGraph,
     t: RootedTree,
@@ -811,26 +765,10 @@ def tree_cut(
         # the uncontracted tree, where feasibility is guaranteed
         work_g, work_t = g, t
         cmap = ContractionMap.identity(g.n)
-    best: Optional[Tuple[int, Partition]] = None
-    rng = derived_rng(config.seed, "rank")
-    hld = build_hld(work_t) if work_t.n >= 2 else None
-    for _, cand_t, cand_map in rank_preprocess(work_t, hld, config, rng, k):
-        cand_g = quotient(work_g, cand_map)
-        if cand_g.n < k:
-            continue
-        states = fill_states(cand_g, cand_t, k, lam, config)
-        value = states.value(cand_t.root, k)
-        cert = states.cert(cand_t.root, k)
-        if value == INF or cert is None:
-            continue
-        part = forest_components(cand_t, cert)
-        full = pull_back(part, cand_map, work_g.n)
-        full_value = cut_value(work_g, full)
-        if best is None or full_value < best[0]:
-            best = (full_value, full)
-    if best is None:
+    cert = fill_states(work_g, work_t, k, lam, config).cert(work_t.root, k)
+    if cert is None:
         raise Infeasible("no feasible deletion found")
-    original = pull_back(best[1], cmap, g.n)
+    original = pull_back(forest_components(work_t, cert), cmap, g.n)
     value = cut_value(g, original)
     return KCutSolution(value, original, cut_edge_set(g, original), "treecut")
 

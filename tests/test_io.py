@@ -268,8 +268,14 @@ class TestCli:
 
     def test_bad_trial_count_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bridge.txt", bridge_text())
-        for bad in ('"many"', "0", "-3", "2.5", "true", "null"):
-            section = '{"trial": {"trials": %s}}' % bad
+        sections = ['{"trial": {"trials": %s}}' % bad
+                    for bad in ('"many"', "0", "-3", "2.5", "true", "null")]
+        # fields TrialConfig no longer has
+        sections += ['{"trial": {"%s": %s}}' % field
+                     for field in (("rank_preprocess", "true"), ("r_cap", "2"),
+                                   ("exhaustive_eprime_cap", "20"),
+                                   ("exhaustive_branch_cap", "16"))]
+        for section in sections:
             for command in ("solve", "treecut"):
                 assert run_cli([command, "--k", "2", "--config", section, path]) == 1
                 assert "bad trial override" in capsys.readouterr().err
@@ -277,6 +283,12 @@ class TestCli:
         code, _ = run_json(capsys, ["solve", "--k", "2", "--config",
                                     '{"trial": {"trials": 1}}', path])
         assert code == 0
+
+    def test_empty_input_exit_code(self, tmp_path, capsys):
+        path = write(tmp_path, "empty.txt", "")
+        for command in ("treecut", "treepack"):
+            assert run_cli([command, "--k", "2", path]) == 1
+            assert "tree packing needs a connected graph" in capsys.readouterr().err
 
     def test_unknown_flag_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "tri.txt", "0 1\n")

@@ -48,6 +48,11 @@ def test_packing_rejects_disconnected():
         greedy_tree_packing(from_pairs(4, [(0, 1), (2, 3)]), 1)
 
 
+def test_packing_rejects_empty_graph():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        greedy_tree_packing(from_pairs(0, []), 1)
+
+
 def test_crossing_edges_cases():
     g = path_graph(4)
     t = RootedTree.from_edge_ids(g, g.edge_ids, root=0)

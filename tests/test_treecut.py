@@ -25,12 +25,12 @@ from kcut.treecut import (
     contract_safe_edges,
     derived_rng,
     eval_f,
+    eval_f_budgets,
     eval_f_p,
     fill_states,
     group_components,
     incomparable_edges,
     knapsack_combine,
-    rank_preprocess,
     tree_cut,
 )
 
@@ -608,8 +608,9 @@ def reference_eval_f_p(u, p, gp, setting, states, rev, r_cap):
 
 
 class TestEstimatorReference:
-    """`eval_f` and `eval_f_p` against the per-budget estimator they replaced,
-    value and deletion set, on trial settings whose budgets reach 3 and 4."""
+    """`eval_f`, `eval_f_p` and the one-pass `eval_f_budgets` against the
+    per-budget estimator they replaced, value and deletion set, on trial
+    settings whose budgets reach 3 and 4."""
 
     def cases(self, rng):
         for _ in range(40):
@@ -637,9 +638,12 @@ class TestEstimatorReference:
             rev = list(range(s.t.n))
             assert eval_f(u, gp, s) == reference_eval_f(u, gp, s)
             for r_cap in sorted({1, 2, k}):
+                table = eval_f_budgets(u, k - 1, gp, s, states, rev, r_cap)
+                assert set(table) <= set(range(1, k))
                 for b in range(1, k):
                     want = reference_eval_f_p(u, b, gp, s, states, rev, r_cap)
                     assert eval_f_p(u, b, gp, s, states, rev, r_cap) == want
+                    assert table.get(b, (INF, frozenset())) == want
                     if want[0] < INF:
                         priced += 1
                         # a state-table split puts a deletion below a selected top
@@ -834,6 +838,26 @@ class TestTreeCut:
         assert sol.value == value
         assert sorted(sol.cut_edges) == cut
 
+    @pytest.mark.parametrize("seed, n, extra, lam, value, cut", [
+        (5, 12, 14, 10, 13, [0, 5, 7, 8, 11, 13, 15, 16, 17, 18, 20, 22, 23]),
+        (6, 13, 18, 12, 12, [3, 8, 9, 11, 12, 13, 15, 16, 19, 26, 27, 29]),
+        (9, 14, 20, 14, 14, [1, 5, 11, 12, 15, 17, 18, 19, 21, 22, 24, 26, 29, 31]),
+    ])
+    def test_k5_sampled_trials_pinned(self, seed, n, extra, lam, value, cut):
+        # five parts, so non-root cells price budgets up to 3 through the
+        # state table; value and cut edges were captured while tree_cut
+        # still looped over rank-preprocessing candidates
+        g = random_connected_graph(random.Random(seed), n, extra)
+        t = greedy_tree_packing(g, 1).trees[0]
+        cfg = TrialConfig(seed=2, trials=6, sweep_max_edges=0)
+        sol = tree_cut(g, t, lam, 5, cfg)
+        assert sol.value == value
+        assert sorted(sol.cut_edges) == cut
+        # nothing is safe to contract here, so these are the cells tree_cut filled
+        assert contract_safe_edges(g, t, lam)[0].n == n
+        states = fill_states(g, t, 5, lam, cfg)
+        assert any(states.value(x, 4) < INF for x in t.order if x != t.root)
+
     def test_deterministic_per_seed(self):
         g = random_connected_graph(random.Random(2), 7, 4)
         t = random_spanning_tree(random.Random(3), g)
@@ -841,29 +865,6 @@ class TestTreeCut:
         a = tree_cut(g, t, 6, 3, cfg)
         b = tree_cut(g, t, 6, 3, cfg)
         assert a.value == b.value and a.partition.blocks == b.partition.blocks
-
-
-class TestRankPreprocess:
-    def test_small_k_passthrough(self):
-        g = path_graph(5)
-        t = RootedTree.bfs_spanning(g)
-        out = rank_preprocess(t, build_hld(t), EXH, derived_rng(0, "r"), k=3)
-        assert len(out) == 1
-        assert out[0][1] is t
-
-    def test_root_path_contraction_shape(self):
-        # chain 0-1-2 with leaves 3 (off 1) and 4,5 (off 2): contracting the
-        # root path of vertex 2 leaves three root children
-        g = from_pairs(6, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5)])
-        t = RootedTree.from_edge_ids(g, [0, 1, 2, 3, 4])
-        cfg = TrialConfig(seed=1, trials="exhaustive", rank_preprocess=True)
-        out = rank_preprocess(t, build_hld(t), cfg, derived_rng(0, "r"), k=5)
-        shapes = {chosen: tree for chosen, tree, _ in out}
-        assert () in shapes
-        assert (2,) in shapes
-        contracted = shapes[(2,)]
-        assert contracted.n == 4
-        assert len(contracted.children(contracted.root)) == 3
 
 
 class TestHLDExamples:
