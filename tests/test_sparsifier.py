@@ -1,5 +1,6 @@
 """Sparsification: forest certificates and expander-core contraction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -232,3 +233,34 @@ def test_kt_statistics_monotone():
     res = kt_sparsify(g, KTParams(alpha=1))
     for it in res.iterations:
         assert it.edges_after <= it.edges_before
+
+
+def clique_pairs(lo, size):
+    return [(lo + i, lo + j) for i in range(size) for j in range(i + 1, size)]
+
+
+def clique_gnp_clique_chain():
+    rng = random.Random(3)
+    pairs = clique_pairs(0, 50)
+    pairs += [(50 + i, 50 + j) for i in range(50) for j in range(i + 1, 50) if rng.random() < 0.8]
+    pairs += clique_pairs(100, 50)
+    pairs += [(0, 50), (1, 51), (60, 100), (61, 101)]  # 2 links per gap
+    return from_pairs(150, pairs)
+
+
+@pytest.mark.parametrize("g, kept, images, counts", [
+    (from_pairs(120, clique_pairs(0, 60) + clique_pairs(60, 60) + [(59, 60)]),
+     [3540], [0] * 60 + [1] * 60, [(3541, 1, 1, 2, 2)]),
+    (clique_gnp_clique_chain(),
+     [3422, 3423], [0] * 100 + [1] * 50, [(3424, 2, 2, 2, 2)]),
+])
+def test_kt_default_gamma_spectral_pinned(g, kept, images, counts):
+    # the solver's k=2 call: components above the exact-sweep size go
+    # through the Fiedler sweep at the default gamma
+    res = kt_sparsify(g, KTParams(alpha=4))
+    assert sorted(res.contracted.edge_ids) == kept
+    assert list(res.map.mapping) == images
+    assert [(it.edges_before, it.edges_after, it.cut_edges, it.supervertices_after, it.cores)
+            for it in res.iterations] == counts
+    for it in res.iterations:
+        assert it.gamma == pytest.approx(1 / (100 * math.log2(it.edges_before)))

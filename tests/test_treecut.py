@@ -5,10 +5,10 @@ import random
 import pytest
 
 from kcut.errors import Infeasible
-from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut, union_find
+from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut, quotient, union_find
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
 from kcut.packing import greedy_tree_packing
-from kcut.tree import RootedTree, build_hld, forest_components, forest_labels
+from kcut.tree import RootedTree, build_hld, forest_components, forest_labels, tree_quotient
 from kcut.treecut import (
     INF,
     CandidateSet,
@@ -27,6 +27,7 @@ from kcut.treecut import (
     eval_f,
     eval_f_budgets,
     eval_f_p,
+    _st_cut_exceeds,
     fill_states,
     group_components,
     incomparable_edges,
@@ -143,6 +144,51 @@ class TestContractSafeEdges:
             for eid in t2.edge_ids:
                 u, v = g2.endpoints(eid)
                 assert min_st_cut(g2, u, v)[0] <= lam
+
+
+def reference_contract_safe_edges(g, t, lam):
+    """Contract one tree edge at a time, rescanning from the smallest id after each."""
+    cur_g, cur_t = g, t
+    cmap = ContractionMap.identity(g.n)
+    changed = True
+    while changed:
+        changed = False
+        for eid in sorted(cur_t.edge_ids):
+            u, v = cur_g.endpoints(eid)
+            if min(cur_g.degree(u), cur_g.degree(v)) <= lam:
+                continue
+            if not _st_cut_exceeds(cur_g, u, v, lam):
+                continue
+            cur_t, step = tree_quotient(cur_t, [eid])
+            cur_g = quotient(cur_g, step)
+            cmap = cmap.compose(step)
+            changed = True
+            break
+    return cur_g, cur_t, cmap
+
+
+class TestContractSafeEdgesReference:
+    @pytest.mark.parametrize("multi", [False, True])
+    def test_matches_one_edge_at_a_time(self, multi):
+        rng = random.Random(23 + multi)
+        contracted = 0
+        for _ in range(25):
+            n = rng.randrange(4, 13)
+            g = random_connected_graph(rng, n, rng.randrange(0, (n - 1) * (n - 2) // 2 + 1))
+            if multi:
+                pairs = list(g.pairs)
+                pairs += [rng.choice(pairs) for _ in range(rng.randrange(1, 2 * n))]
+                g = from_pairs(n, pairs)
+            delta = g.min_degree()
+            for t in greedy_tree_packing(g, 3).trees:
+                for lam in sorted({1, 2, 3, delta, 4 * delta}):
+                    g2, t2, cmap = contract_safe_edges(g, t, lam)
+                    r_g, r_t, r_map = reference_contract_safe_edges(g, t, lam)
+                    assert g2 == r_g
+                    assert (t2.n, t2.root, sorted(t2.edges())) == (r_t.n, r_t.root, sorted(r_t.edges()))
+                    assert cmap.mapping == r_map.mapping
+                    contracted += g2.n < g.n
+        assert contracted >= 50
 
 
 class TestTrialConfig:
