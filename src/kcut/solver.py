@@ -72,7 +72,11 @@ class SolverConfig:
 
 
 def nontrivial_bound(g: MultiGraph, k: int) -> int:
-    """k^2 times the minimum degree: no minimum k-cut is ever larger."""
+    """k^2 times the minimum degree: the cut budget lambda the tree stage uses.
+
+    It is not an upper bound on the minimum k-cut: K12 plus a pendant
+    vertex, with k=3, gives 9 against an optimum of 12.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     return k * k * g.min_degree()
@@ -192,7 +196,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int) -> Optional[KCutSolution]:
     cfg = ctx.config
     n = sub.n
     delta = sub.min_degree()
-    lam = k * k * delta
+    lam = nontrivial_bound(sub, k)
     stage = sub
     kt_map = None
     at_top = alive == ctx.top_alive

@@ -30,6 +30,12 @@ from .graph import (
 
 Rational = Union[Fraction, float]
 
+TRIM_FRACTION = Fraction(2, 5)  # trim: a vertex needs this share of its degree
+LOOSE_FRACTION = Fraction(1, 2)  # shave: at most this share inside is loose
+SCRAP_FRACTION = Fraction(1, 4)  # scrap: a core needs more than this share of volume
+STOP_FRACTION = Fraction(1, 20)  # stop once passive vertices touch this share of edges
+EXACT_CAP = 20  # largest component whose every subset is swept
+
 
 @dataclass(frozen=True)
 class NIResult:
@@ -44,7 +50,6 @@ class KTIteration:
     edges_before: int
     edges_after: int
     cut_edges: int
-    supervertices_before: int
     supervertices_after: int
     cores: int
     gamma: Rational
@@ -60,21 +65,12 @@ class KTResult:
 @dataclass(frozen=True)
 class KTParams:
     alpha: int = 1
-    gamma: Optional[Rational] = None  # None: derived from the live edge count
+    gamma: Optional[Rational] = None  # None: 1/(100 log2 m) of the live edge count m
     passive_threshold: Optional[Rational] = None  # None: 3*alpha*delta/gamma
-    trim_fraction: Fraction = Fraction(2, 5)
-    loose_fraction: Fraction = Fraction(1, 2)
-    scrap_fraction: Fraction = Fraction(1, 4)
-    stop_fraction: Fraction = Fraction(1, 20)
-    conductance_mode: str = "exact"
-    exact_cap: int = 20
-    spectral_c: float = 1.0
 
     def __post_init__(self):
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
-        if self.conductance_mode not in ("exact", "spectral"):
-            raise ValueError("unknown conductance mode %r" % self.conductance_mode)
 
 
 def ni_sparsify(g: MultiGraph, lam: int) -> NIResult:
@@ -112,8 +108,8 @@ def remove_edges(g: MultiGraph, drop: Iterable[int]) -> MultiGraph:
     return MultiGraph(g.n, [(e, *g.endpoints(e)) for e in g.edge_ids if e not in gone])
 
 
-def trim(h: MultiGraph, reference: MultiGraph, fraction: Fraction = Fraction(2, 5)) -> MultiGraph:
-    """Drop vertices whose h-degree fell below `fraction` of their reference degree.
+def trim(h: MultiGraph, reference: MultiGraph) -> MultiGraph:
+    """Drop vertices whose h-degree fell below 2/5 of their reference degree.
 
     Removal repeats until stable; batch order does not matter because the
     condition is monotone under edge loss.  Removed vertices stay as
@@ -125,7 +121,7 @@ def trim(h: MultiGraph, reference: MultiGraph, fraction: Fraction = Fraction(2, 
     dead = set()
     while True:
         weak = [v for v in cur.vertices if v not in dead
-                and cur.degree(v) < fraction * reference.degree(v)]
+                and cur.degree(v) < TRIM_FRACTION * reference.degree(v)]
         if not weak:
             return cur
         dead.update(weak)
@@ -137,8 +133,6 @@ def shave_scrap_core(
     h: MultiGraph,
     reference: MultiGraph,
     regular: Optional[Sequence[bool]] = None,
-    loose_fraction: Fraction = Fraction(1, 2),
-    scrap_fraction: Fraction = Fraction(1, 4),
 ) -> FrozenSet[int]:
     """Shave loose vertices off one component of h, then keep or scrap the rest.
 
@@ -158,54 +152,46 @@ def shave_scrap_core(
     loose = set()
     for v in comp:
         is_regular = True if regular is None else regular[v]
-        if is_regular and h.degree(v) <= loose_fraction * reference.degree(v):
+        if is_regular and h.degree(v) <= LOOSE_FRACTION * reference.degree(v):
             loose.add(v)
     core = [v for v in comp if v not in loose]
     vol_core = sum(ref_inner[v] for v in core)
     vol_comp = sum(reference.degree(v) for v in comp)
-    if vol_core <= scrap_fraction * vol_comp:
+    if vol_core <= SCRAP_FRACTION * vol_comp:
         return frozenset()
     return frozenset(core)
 
 
+def _conductance_sweep(c: MultiGraph, toggles: Iterable[int]) -> Tuple[FrozenSet[int], Fraction]:
+    """The least-conductance set S met while toggling each vertex in turn in or out of S.
+
+    Cut and volume update incrementally; ratios compare by cross-multiplying,
+    so the first minimum wins.
+    """
+    deg = [c.degree(v) for v in c.vertices]
+    nbrs = [[c.other(e, v) for e in c.incident(v)] for v in c.vertices]
+    total = 2 * c.m
+    inside = [False] * c.n
+    vol = cut = mask = 0
+    best_cut, best_side, best_mask = None, 1, 0
+    for v in toggles:
+        inside[v] = not inside[v]
+        sign = 1 if inside[v] else -1
+        vol += sign * deg[v]
+        cut += sign * sum(-1 if inside[w] else 1 for w in nbrs[v])
+        mask ^= 1 << v
+        side = min(vol, total - vol)
+        if best_cut is None or cut * best_side < best_cut * side:
+            best_cut, best_side, best_mask = cut, side, mask
+    return frozenset(v for v in c.vertices if best_mask >> v & 1), Fraction(best_cut, best_side)
+
+
 def _exact_min_conductance(c: MultiGraph) -> Tuple[FrozenSet[int], Fraction]:
     """Gray-code sweep over all proper subsets not containing vertex 0."""
-    n = c.n
-    ends = [c.endpoints(e) for e in c.edge_ids]
-    deg = [c.degree(v) for v in c.vertices]
-    total = 2 * c.m
-    adj = [[] for _ in range(n)]
-    for u, v in ends:
-        adj[u].append(v)
-        adj[v].append(u)
-    inside = [False] * n
-    vol = 0
-    cut = 0
-    best_num, best_den, best_mask = None, None, None
-    mask = 0
-    for i in range(1, 1 << (n - 1)):
-        bit = (i & -i).bit_length() - 1
-        v = bit + 1
-        if inside[v]:
-            inside[v] = False
-            vol -= deg[v]
-            cut += sum(1 if inside[w] else -1 for w in adj[v])
-            mask &= ~(1 << v)
-        else:
-            inside[v] = True
-            vol += deg[v]
-            cut += sum(-1 if inside[w] else 1 for w in adj[v])
-            mask |= 1 << v
-        side = min(vol, total - vol)
-        if best_num is None or cut * best_den < best_num * side:
-            best_num, best_den, best_mask = cut, side, mask
-    chosen = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return chosen, Fraction(best_num, best_den)
+    return _conductance_sweep(c, ((i & -i).bit_length() for i in range(1, 1 << (c.n - 1))))
 
 
-def _spectral_cut(
-    c: MultiGraph, gamma: Rational, spectral_c: float
-) -> Optional[Tuple[FrozenSet[int], Fraction]]:
+def _spectral_cut(c: MultiGraph, gamma: Rational) -> Optional[Tuple[FrozenSet[int], Fraction]]:
     """Fiedler sweep; certify an expander via the easy Cheeger direction."""
     n = c.n
     deg = np.array([c.degree(v) for v in c.vertices], dtype=float)
@@ -217,63 +203,34 @@ def _spectral_cut(
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
     vals, vecs = np.linalg.eigh(lap)
-    lam2 = float(vals[1])
-    if lam2 >= 2 * float(gamma):
+    if float(vals[1]) >= 2 * float(gamma):
         return None  # lambda2/2 lower-bounds the conductance
-    fiedler = vecs[:, 1] * inv_sqrt
-    order = np.argsort(fiedler, kind="stable")
-    inside = [False] * n
-    vol = 0
-    cut = 0
-    total = 2 * c.m
-    adj = [[] for _ in range(n)]
-    for e in c.edge_ids:
-        u, v = c.endpoints(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    best: Optional[Tuple[Fraction, int]] = None
-    for i in range(n - 1):
-        v = int(order[i])
-        inside[v] = True
-        vol += int(deg[v])
-        cut += sum(-1 if inside[w] else 1 for w in adj[v])
-        phi = Fraction(cut, min(vol, total - vol))
-        if best is None or phi < best[0]:
-            best = (phi, i)
-    phi, upto = best
-    if float(phi) > spectral_c * math.sqrt(max(math.log2(max(c.m, 2)), 1.0)) * float(gamma):
+    order = np.argsort(vecs[:, 1] * inv_sqrt, kind="stable")
+    side, phi = _conductance_sweep(c, (int(v) for v in order[:n - 1]))
+    if float(phi) > math.sqrt(max(math.log2(max(c.m, 2)), 1.0)) * float(gamma):
         return None  # sweep found nothing certifiably sparse; treat as expander
-    return frozenset(int(order[j]) for j in range(upto + 1)), phi
+    return side, phi
 
 
-def low_conductance_cut(
-    c: MultiGraph,
-    gamma: Rational,
-    mode: str = "exact",
-    exact_cap: int = 20,
-    spectral_c: float = 1.0,
-) -> Optional[Tuple[FrozenSet[int], Fraction]]:
+def low_conductance_cut(c: MultiGraph, gamma: Rational) -> Optional[Tuple[FrozenSet[int], Fraction]]:
     """A vertex set of conductance at most gamma, or None to certify none was found.
 
-    Exact mode enumerates whenever the component is small enough, so a None
-    is a real expander certificate there; the spectral path is a heuristic
+    Up to EXACT_CAP vertices every proper subset is swept, so a None is a
+    real expander certificate; above that the Fiedler sweep is a heuristic
     whose None merely stops the caller's loop.
     """
     if c.m == 0:
         raise ValueError("conductance cut needs at least one edge")
     if c.n < 2:
         return None
-    if mode == "exact" and c.n <= exact_cap:
+    if c.n <= EXACT_CAP:
         side, phi = _exact_min_conductance(c)
         return (side, phi) if phi <= gamma else None
-    return _spectral_cut(c, gamma, spectral_c)
+    return _spectral_cut(c, gamma)
 
 
-def _default_gamma(mode: str, m: int, spectral_c: float) -> float:
-    logm = max(math.log2(max(m, 2)), 1.0)
-    if mode == "exact":
-        return 1.0 / (100.0 * logm)
-    return 1.0 / (100.0 * spectral_c * logm ** 1.5)
+def _default_gamma(m: int) -> float:
+    return 1.0 / (100.0 * max(math.log2(max(m, 2)), 1.0))
 
 
 def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
@@ -294,16 +251,15 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
         m = cur.m
         if m == 0:
             break
-        gamma = params.gamma if params.gamma is not None else _default_gamma(
-            params.conductance_mode, m, params.spectral_c)
+        gamma = params.gamma if params.gamma is not None else _default_gamma(m)
         threshold = (params.passive_threshold if params.passive_threshold is not None
                      else 3 * params.alpha * delta / gamma)
         passive = {v for v in cur.vertices if is_super[v] and cur.degree(v) <= threshold}
         incident = sum(1 for e in cur.edge_ids
                        if passive & set(cur.endpoints(e)))
-        if incident >= params.stop_fraction * m:
+        if incident >= STOP_FRACTION * m:
             break
-        h = trim(remove_vertices(cur, passive), cur, params.trim_fraction)
+        h = trim(remove_vertices(cur, passive), cur)
         cut_total = 0
         while True:
             found: List[FrozenSet[int]] = []
@@ -311,8 +267,7 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
                 if len(block) < 2:
                     continue
                 sub, vmap = induced_subgraph(h, block)
-                hit = low_conductance_cut(sub, gamma, params.conductance_mode,
-                                          params.exact_cap, params.spectral_c)
+                hit = low_conductance_cut(sub, gamma)
                 if hit is not None:
                     side, _ = hit
                     rest = frozenset(range(sub.n)) - side
@@ -321,16 +276,14 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
                 break
             removed = sorted(set().union(*found))
             cut_total += len(removed)
-            h = trim(remove_edges(h, removed), cur, params.trim_fraction)
+            h = trim(remove_edges(h, removed), cur)
         cores = []
         for block in connected_components(h).blocks:
             if len(block) < 2:
                 continue
-            core = shave_scrap_core(block, h, cur, [not s for s in is_super],
-                                    params.loose_fraction, params.scrap_fraction)
+            core = shave_scrap_core(block, h, cur, [not s for s in is_super])
             if core:
                 cores.append(core)
-        sv_before = sum(is_super)
         marks = [min(core) for core in cores]
         labels, _ = union_find(cur.n, [(a, w) for a, core in zip(marks, cores) for w in core])
         step = ContractionMap(tuple(labels))
@@ -343,7 +296,7 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
             new_super[step.apply(v)] = True
         records.append(KTIteration(
             edges_before=m, edges_after=nxt.m, cut_edges=cut_total,
-            supervertices_before=sv_before, supervertices_after=sum(new_super),
+            supervertices_after=sum(new_super),
             cores=len(cores), gamma=gamma))
         if nxt.n == cur.n and new_super == is_super:
             break  # no merge and no new supervertex: repeating would loop forever

@@ -696,26 +696,21 @@ def contract_safe_edges(
 
     If the cheapest way to separate a tree edge's endpoints costs more
     than lam, no k-cut of value at most lam separates them either, so the
-    edge can be contracted in both the graph and the tree.  Repeats until
-    every surviving tree edge is separable within budget.
+    edge can be contracted in both the graph and the tree.  Contracting
+    such edges keeps every cut of value at most lam, so no other edge's
+    status changes: one pass over the tree edges finds them all.
     """
-    cur_g, cur_t = g, t
-    cmap = ContractionMap.identity(g.n)
-    changed = True
-    while changed:
-        changed = False
-        for eid in sorted(cur_t.edge_ids):
-            u, v = cur_g.endpoints(eid)
-            if min(cur_g.degree(u), cur_g.degree(v)) <= lam:
-                continue  # the cheap side already separates within budget
-            if not _st_cut_exceeds(cur_g, u, v, lam):
-                continue
-            cur_t, step = tree_quotient(cur_t, [eid])
-            cur_g = quotient(cur_g, step)
-            cmap = cmap.compose(step)
-            changed = True
-            break
-    return cur_g, cur_t, cmap
+    safe = []
+    for eid in t.edge_ids:
+        u, v = g.endpoints(eid)
+        if min(g.degree(u), g.degree(v)) <= lam:
+            continue  # the cheap side already separates within budget
+        if _st_cut_exceeds(g, u, v, lam):
+            safe.append(eid)
+    if not safe:
+        return g, t, ContractionMap.identity(g.n)
+    t2, cmap = tree_quotient(t, safe)
+    return quotient(g, cmap), t2, cmap
 
 
 def _st_cut_exceeds(g: MultiGraph, s: int, tt: int, lam: int) -> bool:

@@ -330,6 +330,22 @@ class TestCli:
         assert report["stats"]["ni_edges"] <= 28
         assert isinstance(report["stats"]["kt_iterations"], list)
 
+    def test_kt_overrides(self, tmp_path, capsys):
+        path = write(tmp_path, "k8.txt", serialize_graph(complete_graph(8)))
+        # fields KTParams no longer has
+        for field, value in (("trim_fraction", "0.4"), ("loose_fraction", "0.5"),
+                             ("scrap_fraction", "0.25"), ("stop_fraction", "0.05"),
+                             ("conductance_mode", '"spectral"'), ("exact_cap", "20"),
+                             ("spectral_c", "1.0")):
+            section = '{"kt": {"%s": %s}}' % (field, value)
+            assert run_cli(["sparsify", "--k", "2", "--config", section, path]) == 1
+            assert "bad kt override" in capsys.readouterr().err
+        section = '{"kt": {"alpha": 2, "gamma": 0.05, "passive_threshold": 0}}'
+        code, report = run_json(capsys, ["sparsify", "--k", "2", "--config", section, path])
+        assert code == 0
+        assert [it["gamma"] for it in report["stats"]["kt_iterations"]] == ["0.05"]
+        assert report["stats"]["contracted_n"] == 1
+
     def test_bench_deterministic(self, capsys):
         argv = ["bench", "--k", "2", "--n", "8", "--count", "2", "--no-timing"]
         code, report = run_json(capsys, argv)

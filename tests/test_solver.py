@@ -6,7 +6,7 @@ import pytest
 
 from kcut.errors import BudgetExceeded, Infeasible
 from kcut.graph import cut_value
-from kcut.oracles import brute_min_kcut
+from kcut.oracles import OracleBudget, brute_min_kcut
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats
 import kcut.treecut as treecut
 from kcut.treecut import TrialConfig
@@ -60,6 +60,12 @@ class TestExamples:
         lonely = from_pairs(3, [(0, 1)])
         assert nontrivial_bound(lonely, 2) == 0
         assert nontrivial_bound(complete_graph(5), 3) == 36
+
+    def test_nontrivial_bound_is_not_an_upper_bound(self):
+        # K12 plus a pendant vertex: the tree stage's budget is below the optimum
+        g = from_pairs(13, list(complete_graph(12).pairs) + [(0, 12)])
+        assert nontrivial_bound(g, 3) == 9
+        assert brute_min_kcut(g, 3, OracleBudget(max_vertices=13)).value == 12
 
 
 class TestValidation:

@@ -12,6 +12,7 @@ from kcut.oracles import OracleBudget, brute_min_conductance
 from kcut.solver import _ni_keeps_every_edge
 from kcut.sparsify import (
     KTParams,
+    _spectral_cut,
     kt_sparsify,
     low_conductance_cut,
     ni_sparsify,
@@ -187,7 +188,7 @@ def test_exact_cut_matches_oracle(seed):
 
 def test_spectral_cut_finds_clique_split():
     g, bridge_ids = two_cliques_with_bridges(12, 1)
-    hit = low_conductance_cut(g, 0.05, mode="spectral")
+    hit = _spectral_cut(g, 0.05)
     assert hit is not None
     side, phi = hit
     assert side in (frozenset(range(12)), frozenset(range(12, 24)))
@@ -195,7 +196,7 @@ def test_spectral_cut_finds_clique_split():
 
 
 def test_spectral_expander_certificate():
-    assert low_conductance_cut(complete_graph(12), 0.05, mode="spectral") is None
+    assert _spectral_cut(complete_graph(12), 0.05) is None
 
 
 def test_kt_collapses_clique():
