@@ -29,6 +29,7 @@ from .graph import (
 )
 
 Rational = Union[Fraction, float]
+Cut = Tuple[FrozenSet[int], Fraction]  # a vertex set and its conductance
 
 TRIM_FRACTION = Fraction(2, 5)  # trim: a vertex needs this share of its degree
 LOOSE_FRACTION = Fraction(1, 2)  # shave: at most this share inside is loose
@@ -162,7 +163,7 @@ def shave_scrap_core(
     return frozenset(core)
 
 
-def _conductance_sweep(c: MultiGraph, toggles: Iterable[int]) -> Tuple[FrozenSet[int], Fraction]:
+def _conductance_sweep(c: MultiGraph, toggles: Iterable[int]) -> Cut:
     """The least-conductance set S met while toggling each vertex in turn in or out of S.
 
     Cut and volume update incrementally; ratios compare by cross-multiplying,
@@ -186,21 +187,20 @@ def _conductance_sweep(c: MultiGraph, toggles: Iterable[int]) -> Tuple[FrozenSet
     return frozenset(v for v in c.vertices if best_mask >> v & 1), Fraction(best_cut, best_side)
 
 
-def _exact_min_conductance(c: MultiGraph) -> Tuple[FrozenSet[int], Fraction]:
+def _exact_min_conductance(c: MultiGraph) -> Cut:
     """Gray-code sweep over all proper subsets not containing vertex 0."""
     return _conductance_sweep(c, ((i & -i).bit_length() for i in range(1, 1 << (c.n - 1))))
 
 
-def _spectral_cut(c: MultiGraph, gamma: Rational) -> Optional[Tuple[FrozenSet[int], Fraction]]:
+def _spectral_cut(c: MultiGraph, gamma: Rational) -> Optional[Cut]:
     """Fiedler sweep; certify an expander via the easy Cheeger direction."""
     n = c.n
-    deg = np.array([c.degree(v) for v in c.vertices], dtype=float)
     a = np.zeros((n, n))
     for e in c.edge_ids:
         u, v = c.endpoints(e)
         a[u, v] += 1.0
         a[v, u] += 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt([float(c.degree(v)) for v in c.vertices])
     lap = np.eye(n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
     vals, vecs = np.linalg.eigh(lap)
     if float(vals[1]) >= 2 * float(gamma):
@@ -212,7 +212,7 @@ def _spectral_cut(c: MultiGraph, gamma: Rational) -> Optional[Tuple[FrozenSet[in
     return side, phi
 
 
-def low_conductance_cut(c: MultiGraph, gamma: Rational) -> Optional[Tuple[FrozenSet[int], Fraction]]:
+def low_conductance_cut(c: MultiGraph, gamma: Rational) -> Optional[Cut]:
     """A vertex set of conductance at most gamma, or None to certify none was found.
 
     Up to EXACT_CAP vertices every proper subset is swept, so a None is a

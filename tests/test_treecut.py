@@ -185,7 +185,8 @@ class TestContractSafeEdgesReference:
                     g2, t2, cmap = contract_safe_edges(g, t, lam)
                     r_g, r_t, r_map = reference_contract_safe_edges(g, t, lam)
                     assert g2 == r_g
-                    assert (t2.n, t2.root, sorted(t2.edges())) == (r_t.n, r_t.root, sorted(r_t.edges()))
+                    assert (t2.n, t2.root, sorted(t2.edges())) == \
+                        (r_t.n, r_t.root, sorted(r_t.edges()))
                     assert cmap.mapping == r_map.mapping
                     contracted += g2.n < g.n
         assert contracted >= 50
