@@ -23,7 +23,7 @@ from .io import (
 )
 from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing
-from .solver import MODES, SolverConfig, solve_with_stats
+from .solver import MODES, SolverConfig, nontrivial_bound, solve_with_stats
 from .sparsify import KTParams, kt_sparsify, ni_sparsify
 from .treecut import TrialConfig, tree_cut
 
@@ -182,7 +182,7 @@ def _cmd_sparsify(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = args.k if args.k is not None else 2
     delta = g.min_degree() if g.n else 0
-    lam = max(k * k * delta, 1)
+    lam = max(nontrivial_bound(g, k), 1)
     t0 = time.perf_counter()
     ni = ni_sparsify(g, lam)
     kt = kt_sparsify(ni.subgraph, _kt_params(args, k))

@@ -1,11 +1,13 @@
 """Minimum k-cut driver.
 
-Branches on singleton blocks (delete a vertex, solve for k-1), and in
-parallel scans a greedy spanning-tree packing with the tree-cut dynamic
-program; dense graphs are sparsified first.  Both paths produce feasible
-cuts scored against the real graph, so the returned minimum is always an
-upper bound on the optimum and matches it whenever either path can
-express an optimal partition.
+Branches on singleton blocks (delete a vertex, solve for k-1) in every
+cell.  In cells whose vertex set is a whole connected component of the
+input, it then scans a greedy spanning-tree packing with the tree-cut
+dynamic program, passing the branching incumbent as the cut budget
+lambda; dense components are sparsified first.  Both paths produce
+feasible cuts scored against the real graph, so the returned minimum is
+always an upper bound on the optimum and matches it whenever either path
+can express an optimal partition.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ MODES = ("auto", "treecut_only", "oracle_only")
 class SolverConfig:
     """Pipeline constants and mode switches.
 
-    kt_constant scales the minimum-degree gate in front of sparsification;
-    pack_constant scales the number of packed trees.  treecut_max_n bounds
-    the graphs the tree-cut stage will attempt: beyond it only branching
-    runs, which keeps results sound but may miss optima without small
-    blocks.
+    Singleton branching runs in every cell; the tree stage runs once per
+    connected component of the input and part count, with lambda = the
+    branching incumbent.  kt_constant scales the minimum-degree gate in
+    front of sparsification; pack_constant scales the number of packed
+    trees.  treecut_max_n bounds the graphs the tree-cut stage will
+    attempt: beyond it only branching runs, which keeps results sound but
+    may miss optima without small blocks.
 
     mode "auto" runs singleton branching and the tree stage, then checks
     graphs of at most oracle_fallback_max_n vertices against the brute-force
@@ -72,14 +76,16 @@ class SolverConfig:
 
 
 def nontrivial_bound(g: MultiGraph, k: int) -> int:
-    """k^2 times the minimum degree: the cut budget lambda the tree stage uses.
+    """k^2 times the minimum degree (0 on an empty graph): NI's forest count.
 
-    It is not an upper bound on the minimum k-cut: K12 plus a pendant
-    vertex, with k=3, gives 9 against an optimum of 12.
+    The sparsifier's Nagamochi-Ibaraki certificate keeps this many forests;
+    the tree DP gets the branching incumbent instead.  It is not an upper
+    bound on the minimum k-cut: K12 plus a pendant vertex, with k=3, gives
+    9 against an optimum of 12.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return k * k * g.min_degree()
+    return k * k * g.min_degree() if g.n else 0
 
 
 def _ni_keeps_every_edge(g: MultiGraph, lam: int) -> bool:
@@ -105,6 +111,7 @@ class _Context:
         self.stats = stats
         self.memo: Dict[Tuple[FrozenSet[int], int], KCutSolution] = {}
         self.top_alive = frozenset(g.vertices)
+        self.components = {frozenset(b) for b in connected_components(g).blocks}
 
 
 def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> KCutSolution:
@@ -184,26 +191,28 @@ def _solve_connected(ctx, alive, sub, vmap, rev, k: int) -> KCutSolution:
             blocks = [list(b) for b in rec.partition.blocks] + [[orig]]
             cut = rec.cut_edges | frozenset(sub.incident(vmap[orig]))
             best = KCutSolution(value, Partition(blocks), cut, "branch")
-    tree_best = _tree_stage(ctx, alive, sub, rev, k)
-    if tree_best is not None and (best is None or tree_best.value < best.value):
-        best = tree_best
     if best is None:
         raise Infeasible("no feasible %d-cut of %d vertices" % (k, n))
+    if alive in ctx.components:
+        tree_best = _tree_stage(ctx, alive, sub, rev, k, best.value)
+        if tree_best is not None and tree_best.value < best.value:
+            best = tree_best
     return best
 
 
-def _tree_stage(ctx, alive, sub, rev, k: int) -> Optional[KCutSolution]:
+def _tree_stage(ctx, alive, sub, rev, k: int, lam: int) -> Optional[KCutSolution]:
+    """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT."""
     cfg = ctx.config
     n = sub.n
     delta = sub.min_degree()
-    lam = nontrivial_bound(sub, k)
     stage = sub
     kt_map = None
     at_top = alive == ctx.top_alive
     gate = delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
     if gate and is_simple(sub):
-        if not _ni_keeps_every_edge(sub, max(lam, 1)):
-            stage = ni_sparsify(sub, max(lam, 1)).subgraph
+        budget = max(nontrivial_bound(sub, k), 1)
+        if not _ni_keeps_every_edge(sub, budget):
+            stage = ni_sparsify(sub, budget).subgraph
         kt = kt_sparsify(stage, KTParams(alpha=k * k))
         ctx.stats["sparsified_cells"] += 1
         if at_top:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .graph import (
     ContractionMap,
     MultiGraph,
@@ -194,6 +192,8 @@ def _exact_min_conductance(c: MultiGraph) -> Cut:
 
 def _spectral_cut(c: MultiGraph, gamma: Rational) -> Optional[Cut]:
     """Fiedler sweep; certify an expander via the easy Cheeger direction."""
+    import numpy as np  # loaded here only, so `import kcut` stays numpy-free
+
     n = c.n
     a = np.zeros((n, n))
     for e in c.edge_ids:

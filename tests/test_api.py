@@ -1,5 +1,8 @@
 """The package's exported names."""
 
+import os
+import subprocess
+import sys
 import types
 
 import kcut
@@ -19,3 +22,12 @@ def test_benchmark_names_stay_exported():
     assert set(BENCHMARK_NAMES) <= set(kcut.__all__)
     assert isinstance(kcut.oracles, types.ModuleType)
     assert kcut.oracles.brute_min_kcut is kcut.brute_min_kcut
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy serves only the sparsifier's spectral search, which imports it itself
+    src = os.path.dirname(os.path.dirname(kcut.__file__))
+    code = "import sys, kcut; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -330,6 +330,16 @@ class TestCli:
         assert report["stats"]["ni_edges"] <= 28
         assert isinstance(report["stats"]["kt_iterations"], list)
 
+    def test_sparsify_lambda_is_the_nontrivial_bound(self, tmp_path, capsys):
+        path = write(tmp_path, "k8.txt", serialize_graph(complete_graph(8)))
+        code, report = run_json(capsys, ["sparsify", "--k", "3", path])
+        assert code == 0 and report["stats"]["lambda"] == 63  # 3^2 * 7
+        empty = write(tmp_path, "empty.txt", "")
+        code, report = run_json(capsys, ["sparsify", "--k", "2", empty])
+        assert code == 0 and report["stats"]["lambda"] == 1  # max(k^2 * 0, 1)
+        assert run_cli(["sparsify", "--k", "0", path]) == 1
+        assert "k must be positive" in capsys.readouterr().err
+
     def test_kt_overrides(self, tmp_path, capsys):
         path = write(tmp_path, "k8.txt", serialize_graph(complete_graph(8)))
         # fields KTParams no longer has

@@ -8,6 +8,7 @@ from kcut.errors import BudgetExceeded, Infeasible
 from kcut.graph import cut_value
 from kcut.oracles import OracleBudget, brute_min_kcut
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats
+import kcut.solver as solver
 import kcut.treecut as treecut
 from kcut.treecut import TrialConfig
 
@@ -28,6 +29,10 @@ def two_k4_bridge():
     pairs += [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]
     pairs.append((0, 4))
     return from_pairs(8, pairs)
+
+
+def k12_pendant():
+    return from_pairs(13, list(complete_graph(12).pairs) + [(0, 12)])
 
 
 def two_triangles():
@@ -60,12 +65,26 @@ class TestExamples:
         lonely = from_pairs(3, [(0, 1)])
         assert nontrivial_bound(lonely, 2) == 0
         assert nontrivial_bound(complete_graph(5), 3) == 36
+        assert nontrivial_bound(from_pairs(0, []), 2) == 0
 
     def test_nontrivial_bound_is_not_an_upper_bound(self):
-        # K12 plus a pendant vertex: the tree stage's budget is below the optimum
-        g = from_pairs(13, list(complete_graph(12).pairs) + [(0, 12)])
+        # K12 plus a pendant vertex: the sparsifier's budget is below the optimum
+        g = k12_pendant()
         assert nontrivial_bound(g, 3) == 9
         assert brute_min_kcut(g, 3, OracleBudget(max_vertices=13)).value == 12
+
+    def test_tree_cut_budget_is_the_incumbent(self, monkeypatch):
+        # the incumbent is a real 3-cut, so lambda never drops below the optimum 12
+        lams = []
+        real = solver.tree_cut
+
+        def recorded(g, t, lam, k, config):
+            lams.append(lam)
+            return real(g, t, lam, k, config)
+
+        monkeypatch.setattr(solver, "tree_cut", recorded)
+        assert min_kcut(k12_pendant(), 3).value == 12
+        assert lams and min(lams) >= 12
 
 
 class TestValidation:
@@ -191,10 +210,13 @@ class TestDeterminism:
 
 
 class TestPinnedTrialCells:
-    """Answers and counters of two default solves whose tree stage runs trial cells.
+    """Answers and counters of two default solves, one with tree-stage trial cells.
 
     Captured while the tree DP still filled a k-part cell at every vertex;
-    work the tree stage skips must not change them.
+    work the tree stage skips must not change them.  The tree stage runs
+    once, in the top cell, with lambda = the branching incumbent: 20 trees
+    on the chain, which runs trial cells, and none on gnm, where lambda = 2
+    contracts every packed tree below the sweep size.
     """
 
     @staticmethod
@@ -216,7 +238,7 @@ class TestPinnedTrialCells:
 
     @pytest.mark.parametrize("name, k, value, blocks, provenance, cells, trees", [
         ("gnm", 2, 2, [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14], [11]], "branch", 2, 51),
-        ("chain", 3, 4, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11, 12, 13]], "treecut", 18, 220),
+        ("chain", 3, 4, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11, 12, 13]], "treecut", 18, 20),
     ])
     def test_pinned(self, monkeypatch, name, k, value, blocks, provenance, cells, trees):
         g = self.gnm(1, 15, 40) if name == "gnm" else self.chained_cliques((5, 5, 4), 2)
@@ -229,9 +251,56 @@ class TestPinnedTrialCells:
 
         monkeypatch.setattr(treecut, "_cell_trials", counted)
         sol, stats = solve_with_stats(g, k)
-        assert trial_cells  # the pin covers the randomized trials, not just the sweep
+        if name == "chain":
+            assert trial_cells  # the pin covers the randomized trials, not just the sweep
+        else:
+            assert trial_cells == []
         assert sol.value == value
         assert sorted(sorted(b) for b in sol.partition.blocks) == blocks
         assert sol.provenance == provenance
         assert stats["cells"] == cells
         assert stats["trees_evaluated"] == trees
+
+    def test_trial_cell_scores_each_deletion_set_once(self, monkeypatch):
+        calls, active = [], []  # sets scored per _cell_trials call; the open call
+        real_cell, real_score = treecut._cell_trials, treecut._score_deletion
+
+        def cell(*args, **kwargs):
+            active.append([])
+            try:
+                return real_cell(*args, **kwargs)
+            finally:
+                calls.append(active.pop())
+
+        def score(sub, local_t, ids):
+            if active:  # the exact sweep scores outside trial cells
+                active[-1].append(frozenset(ids))
+            return real_score(sub, local_t, ids)
+
+        monkeypatch.setattr(treecut, "_cell_trials", cell)
+        monkeypatch.setattr(treecut, "_score_deletion", score)
+        solve_with_stats(self.chained_cliques((5, 5, 4), 2), 3)
+        assert any(calls)
+        for sets in calls:
+            assert len(sets) == len(set(sets))
+
+    def test_tree_stage_runs_only_on_whole_components(self, monkeypatch):
+        one = self.chained_cliques((5, 5, 4), 2)
+        pairs = list(one.pairs)
+        g = from_pairs(2 * one.n, pairs + [(u + one.n, v + one.n) for u, v in pairs])
+        components = {frozenset(range(one.n)), frozenset(range(one.n, 2 * one.n))}
+        cells, cut_cells = [], []
+        real_stage, real_cut = solver._tree_stage, solver.tree_cut
+
+        def stage(ctx, alive, *args):
+            cells.append(alive)
+            return real_stage(ctx, alive, *args)
+
+        def cut(*args):
+            cut_cells.append(cells[-1])
+            return real_cut(*args)
+
+        monkeypatch.setattr(solver, "_tree_stage", stage)
+        monkeypatch.setattr(solver, "tree_cut", cut)
+        min_kcut(g, 4)
+        assert set(cut_cells) == components
