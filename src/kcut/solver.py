@@ -4,7 +4,9 @@ Branches on singleton blocks (delete a vertex, solve for k-1) in every
 cell.  In cells whose vertex set is a whole connected component of the
 input, it then scans a greedy spanning-tree packing with the tree-cut
 dynamic program, passing the branching incumbent as the cut budget
-lambda; dense components are sparsified first.  Both paths produce
+lambda; dense components are sparsified first.  When a component's
+stage is over treecut_max_n, every cell below it runs its own tree
+stage the same way, since the DP may fit there.  Both paths produce
 feasible cuts scored against the real graph, so the returned minimum is
 always an upper bound on the optimum and matches it whenever either path
 can express an optimal partition.
@@ -19,6 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Infeasible
 from .graph import (
+    ContractionMap,
     KCutSolution,
     MultiGraph,
     Partition,
@@ -44,7 +47,8 @@ class SolverConfig:
 
     Singleton branching runs in every cell; the tree stage runs once per
     connected component of the input and part count, with lambda = the
-    branching incumbent.  kt_constant scales the minimum-degree gate in
+    branching incumbent, and in every cell below a component whose stage
+    is over treecut_max_n.  kt_constant scales the minimum-degree gate in
     front of sparsification; pack_constant scales the number of packed
     trees.  treecut_max_n bounds the graphs the tree-cut stage will
     attempt: beyond it only branching runs, which keeps results sound but
@@ -111,7 +115,12 @@ class _Context:
         self.stats = stats
         self.memo: Dict[Tuple[FrozenSet[int], int], KCutSolution] = {}
         self.top_alive = frozenset(g.vertices)
-        self.components = {frozenset(b) for b in connected_components(g).blocks}
+        blocks = [frozenset(b) for b in connected_components(g).blocks]
+        self.components = set(blocks)
+        self.component_of = {v: b for b in blocks for v in b}
+        # components whose own stage outgrew treecut_max_n: every cell
+        # below them stages itself, as its DP may still fit
+        self.oversized: set = set()
 
 
 def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> KCutSolution:
@@ -176,6 +185,13 @@ def _solve_components(ctx: _Context, comps: Partition, rev, k: int) -> KCutSolut
 
 def _solve_connected(ctx, alive, sub, vmap, rev, k: int) -> KCutSolution:
     n = sub.n
+    staged = None
+    whole = alive in ctx.components
+    if whole or ctx.component_of[next(iter(alive))] in ctx.oversized:
+        # staged before branching, so the cells below see the mark
+        staged = _stage(ctx, alive, sub, k)
+        if whole and staged[0].n > ctx.config.treecut_max_n:
+            ctx.oversized.add(alive)
     best: Optional[KCutSolution] = None
     # singleton branching, cheapest boundary first: any branch whose vertex
     # degree already matches the incumbent cannot improve on it
@@ -193,33 +209,41 @@ def _solve_connected(ctx, alive, sub, vmap, rev, k: int) -> KCutSolution:
             best = KCutSolution(value, Partition(blocks), cut, "branch")
     if best is None:
         raise Infeasible("no feasible %d-cut of %d vertices" % (k, n))
-    if alive in ctx.components:
-        tree_best = _tree_stage(ctx, alive, sub, rev, k, best.value)
+    if staged is not None:
+        tree_best = _tree_stage(ctx, alive, sub, rev, k, best.value, *staged)
         if tree_best is not None and tree_best.value < best.value:
             best = tree_best
     return best
 
 
-def _tree_stage(ctx, alive, sub, rev, k: int, lam: int) -> Optional[KCutSolution]:
-    """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT."""
+def _stage(ctx, alive, sub, k: int) -> Tuple[MultiGraph, Optional[ContractionMap]]:
+    """The graph the tree DP sees: sub, or its NI/KT sparsifier when dense.
+
+    Returns the stage and the map from sub's vertices to the stage's
+    (None when sub is not contracted).
+    """
     cfg = ctx.config
     n = sub.n
     delta = sub.min_degree()
-    stage = sub
-    kt_map = None
-    at_top = alive == ctx.top_alive
     gate = delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
-    if gate and is_simple(sub):
-        budget = max(nontrivial_bound(sub, k), 1)
-        if not _ni_keeps_every_edge(sub, budget):
-            stage = ni_sparsify(sub, budget).subgraph
-        kt = kt_sparsify(stage, KTParams(alpha=k * k))
-        ctx.stats["sparsified_cells"] += 1
-        if at_top:
-            ctx.stats["ni_edges"] = stage.m
-            ctx.stats["kt_iterations"] = len(kt.iterations)
-        stage = kt.contracted
-        kt_map = kt.map
+    if not (gate and is_simple(sub)):
+        return sub, None
+    stage = sub
+    budget = max(nontrivial_bound(sub, k), 1)
+    if not _ni_keeps_every_edge(sub, budget):
+        stage = ni_sparsify(sub, budget).subgraph
+    kt = kt_sparsify(stage, KTParams(alpha=k * k))
+    ctx.stats["sparsified_cells"] += 1
+    if alive == ctx.top_alive:
+        ctx.stats["ni_edges"] = stage.m
+        ctx.stats["kt_iterations"] = len(kt.iterations)
+    return kt.contracted, kt.map
+
+
+def _tree_stage(ctx, alive, sub, rev, k: int, lam: int, stage, kt_map) -> Optional[KCutSolution]:
+    """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT."""
+    cfg = ctx.config
+    at_top = alive == ctx.top_alive
     if stage.n < max(k, 2) or stage.n > cfg.treecut_max_n:
         return None
     count = cfg.tree_count(k, stage.n)

@@ -620,7 +620,6 @@ def _cell_trials(
         trials = trials[:20000]
     best = None
     seen_settings = set()
-    scored = set()  # best moves only on a strict <, so a repeated set cannot change it
     for coloring, pattern in trials:
         key = (coloring.green, pattern)
         if key in seen_settings:
@@ -642,9 +641,6 @@ def _cell_trials(
             cert |= priced[i][b][1]
         if len(cert) != target:
             continue  # overlapping proposals cannot certify this cell
-        if cert in scored:
-            continue
-        scored.add(cert)
         true_value = _score_deletion(sub, local_t, cert)
         if best is None or true_value < best[0]:
             best = (true_value, cert)

@@ -261,29 +261,6 @@ class TestPinnedTrialCells:
         assert stats["cells"] == cells
         assert stats["trees_evaluated"] == trees
 
-    def test_trial_cell_scores_each_deletion_set_once(self, monkeypatch):
-        calls, active = [], []  # sets scored per _cell_trials call; the open call
-        real_cell, real_score = treecut._cell_trials, treecut._score_deletion
-
-        def cell(*args, **kwargs):
-            active.append([])
-            try:
-                return real_cell(*args, **kwargs)
-            finally:
-                calls.append(active.pop())
-
-        def score(sub, local_t, ids):
-            if active:  # the exact sweep scores outside trial cells
-                active[-1].append(frozenset(ids))
-            return real_score(sub, local_t, ids)
-
-        monkeypatch.setattr(treecut, "_cell_trials", cell)
-        monkeypatch.setattr(treecut, "_score_deletion", score)
-        solve_with_stats(self.chained_cliques((5, 5, 4), 2), 3)
-        assert any(calls)
-        for sets in calls:
-            assert len(sets) == len(set(sets))
-
     def test_tree_stage_runs_only_on_whole_components(self, monkeypatch):
         one = self.chained_cliques((5, 5, 4), 2)
         pairs = list(one.pairs)
@@ -304,3 +281,22 @@ class TestPinnedTrialCells:
         monkeypatch.setattr(solver, "tree_cut", cut)
         min_kcut(g, 4)
         assert set(cut_cells) == components
+
+    def test_cells_below_an_oversized_component_run_the_tree_stage(self, monkeypatch):
+        # 33 vertices exceed treecut_max_n, so the top cell skips the DP; the
+        # 32-vertex cell without the pendant finds the 3-link cut, total 4
+        chain = self.chained_cliques((11, 11, 10), 3)
+        g = from_pairs(chain.n + 1, list(chain.pairs) + [(0, chain.n)])
+        cells = []
+        real_stage = solver._tree_stage
+
+        def recorded(ctx, alive, sub, rev, k, lam, stage, kt_map):
+            sol = real_stage(ctx, alive, sub, rev, k, lam, stage, kt_map)
+            if sol is not None:
+                cells.append((alive, lam, sol.value))
+            return sol
+
+        monkeypatch.setattr(solver, "_tree_stage", recorded)
+        sol = min_kcut(g, 3)
+        assert sol.value == 4
+        assert cells == [(frozenset(range(chain.n)), 9, 3)]  # lambda = branching's 2-cut
