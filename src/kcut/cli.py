@@ -228,7 +228,7 @@ def _cmd_treecut(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = _require_k(args)
     cfg = _solver_config(args)
-    lam = k * k * (g.min_degree() if g.n else 0)
+    lam = nontrivial_bound(g, k)
     t0 = time.perf_counter()
     tree = greedy_tree_packing(g, 1).trees[0]
     sol = tree_cut(g, tree, lam, k, cfg.trial)

@@ -1,22 +1,28 @@
 """Minimum k-cut driver.
 
 Branches on singleton blocks (delete a vertex, solve for k-1) in every
-cell.  In cells whose vertex set is a whole connected component of the
-input, it then scans a greedy spanning-tree packing with the tree-cut
-dynamic program, passing the branching incumbent as the cut budget
-lambda; dense components are sparsified first.  When a component's
-stage is over treecut_max_n, every cell below it runs its own tree
-stage the same way, since the DP may fit there.  Both paths produce
-feasible cuts scored against the real graph, so the returned minimum is
-always an upper bound on the optimum and matches it whenever either path
-can express an optimal partition.
+cell.  Branching cells read the input's adjacency lists, restricted to
+the cell's vertex set, for its components, degrees and cut edges; they
+build no subgraph.  In cells whose vertex set is a whole connected
+component of the input, it then scans a greedy spanning-tree packing
+with the tree-cut dynamic program, passing the branching incumbent as
+the cut budget lambda; dense components are sparsified first.  When a
+component's stage is over treecut_max_n, every cell below it runs its
+own tree stage the same way, since the DP may fit there.  Only these
+cells build an induced subgraph, and only when the DP may run on it:
+the sparsifier gate fires or the cell has at most treecut_max_n
+vertices.  Both paths produce feasible cuts scored against the real
+graph, so the returned minimum is always an upper bound on the optimum
+and matches it whenever either path can express an optimal partition.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Infeasible
@@ -115,12 +121,46 @@ class _Context:
         self.stats = stats
         self.memo: Dict[Tuple[FrozenSet[int], int], KCutSolution] = {}
         self.top_alive = frozenset(g.vertices)
-        blocks = [frozenset(b) for b in connected_components(g).blocks]
-        self.components = set(blocks)
-        self.component_of = {v: b for b in blocks for v in b}
+        # each vertex's neighbours, one entry per incident edge, aligned
+        # with g.incident(v)
+        self.nbrs = [tuple(g.other(e, v) for e in g.incident(v)) for v in g.vertices]
+        self.blocks = [sorted(b) for b in connected_components(g).blocks]
+        self.components = {frozenset(b) for b in self.blocks}
+        self.component_of = {v: c for c in self.components for v in c}
         # components whose own stage outgrew treecut_max_n: every cell
         # below them stages itself, as its DP may still fit
         self.oversized: set = set()
+
+    def split(self, alive: FrozenSet[int], order: List[int]) -> List[List[int]]:
+        """Components of the input restricted to alive (sorted: order), by minimum vertex."""
+        if alive == self.top_alive:
+            return self.blocks
+        neighbours = self.nbrs.__getitem__
+        unseen = set(alive)
+        blocks = []
+        for s in order:
+            if s not in unseen:
+                continue
+            unseen.discard(s)
+            block, frontier = [s], (s,)
+            while frontier and unseen:
+                # one breadth-first level at a time
+                frontier = unseen.intersection(chain.from_iterable(map(neighbours, frontier)))
+                unseen -= frontier
+                block.extend(frontier)
+            block.sort()
+            blocks.append(block)
+        return blocks
+
+    def by_degree(self, alive: FrozenSet[int], order: List[int]) -> List[Tuple[int, int]]:
+        """(degree within alive, v) for every vertex v of alive, in ascending order."""
+        # v's degree within alive is how often v appears in alive's neighbour lists
+        count = Counter(chain.from_iterable(map(self.nbrs.__getitem__, order)))
+        return sorted(zip(map(count.__getitem__, order), order))
+
+    def cut_edges(self, v: int, alive: FrozenSet[int]) -> FrozenSet[int]:
+        """Ids of the edges from v to the rest of alive."""
+        return frozenset(e for e, w in zip(self.g0.incident(v), self.nbrs[v]) if w in alive)
 
 
 def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> KCutSolution:
@@ -134,20 +174,17 @@ def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> KCutSolution:
         sol = KCutSolution(0, Partition([order]), frozenset(), "base")
         ctx.memo[key] = sol
         return sol
-    sub, vmap = induced_subgraph(ctx.g0, order)
-    rev = {local: orig for orig, local in vmap.items()}
-    comps = connected_components(sub)
-    if comps.k > 1:
-        sol = _solve_components(ctx, comps, rev, k)
+    blocks = ctx.split(alive, order)
+    if len(blocks) > 1:
+        sol = _solve_components(ctx, blocks, k)
     else:
-        sol = _solve_connected(ctx, alive, sub, vmap, rev, k)
+        sol = _solve_connected(ctx, alive, order, k)
     ctx.memo[key] = sol
     return sol
 
 
-def _solve_components(ctx: _Context, comps: Partition, rev, k: int) -> KCutSolution:
+def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> KCutSolution:
     """Split the part budget across connected components; merges are free."""
-    blocks_orig = [sorted(rev[v] for v in b) for b in comps.blocks]
     if k <= len(blocks_orig):
         # enough components already: keep k-1 of them apart, merge the rest
         merged = [blocks_orig[i] for i in range(k - 1)]
@@ -183,49 +220,57 @@ def _solve_components(ctx: _Context, comps: Partition, rev, k: int) -> KCutSolut
     return KCutSolution(value, Partition(blocks), cut, "components")
 
 
-def _solve_connected(ctx, alive, sub, vmap, rev, k: int) -> KCutSolution:
-    n = sub.n
-    staged = None
+def _solve_connected(ctx, alive, order, k: int) -> KCutSolution:
+    cfg = ctx.config
+    n = len(order)
+    by_degree = ctx.by_degree(alive, order)
+    sub = staged = None
     whole = alive in ctx.components
-    if whole or ctx.component_of[next(iter(alive))] in ctx.oversized:
-        # staged before branching, so the cells below see the mark
-        staged = _stage(ctx, alive, sub, k)
-        if whole and staged[0].n > ctx.config.treecut_max_n:
+    if whole or ctx.component_of[order[0]] in ctx.oversized:
+        # staged before branching, so the cells below see the mark; a cell
+        # the DP cannot take (over the cap, gate off) builds no subgraph
+        gate = _sparsify_gate(cfg, n, by_degree[0][0], k)
+        stage_n = n
+        if gate or n <= cfg.treecut_max_n:
+            sub = ctx.g0 if alive == ctx.top_alive else induced_subgraph(ctx.g0, order)[0]
+            staged = _stage(ctx, alive, sub, k, gate)
+            stage_n = staged[0].n
+        if whole and stage_n > cfg.treecut_max_n:
             ctx.oversized.add(alive)
     best: Optional[KCutSolution] = None
     # singleton branching, cheapest boundary first: any branch whose vertex
     # degree already matches the incumbent cannot improve on it
-    by_degree = sorted((sub.degree(v), rev[v]) for v in range(n))
-    for d, orig in by_degree:
+    for d, v in by_degree:
         if best is not None and d >= best.value:
             break
-        if k - 1 > len(alive) - 1:
+        if k - 1 > n - 1:
             break
-        rec = _solve(ctx, alive - {orig}, k - 1)
+        rec = _solve(ctx, alive - {v}, k - 1)
         value = rec.value + d
         if best is None or value < best.value:
-            blocks = [list(b) for b in rec.partition.blocks] + [[orig]]
-            cut = rec.cut_edges | frozenset(sub.incident(vmap[orig]))
+            blocks = [list(b) for b in rec.partition.blocks] + [[v]]
+            cut = rec.cut_edges | ctx.cut_edges(v, alive)
             best = KCutSolution(value, Partition(blocks), cut, "branch")
     if best is None:
         raise Infeasible("no feasible %d-cut of %d vertices" % (k, n))
     if staged is not None:
-        tree_best = _tree_stage(ctx, alive, sub, rev, k, best.value, *staged)
+        tree_best = _tree_stage(ctx, alive, sub, order, k, best.value, *staged)
         if tree_best is not None and tree_best.value < best.value:
             best = tree_best
     return best
 
 
-def _stage(ctx, alive, sub, k: int) -> Tuple[MultiGraph, Optional[ContractionMap]]:
-    """The graph the tree DP sees: sub, or its NI/KT sparsifier when dense.
+def _sparsify_gate(cfg: SolverConfig, n: int, delta: int, k: int) -> bool:
+    """True when an n-vertex cell of minimum degree delta is dense enough to sparsify."""
+    return delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
+
+
+def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[ContractionMap]]:
+    """The graph the tree DP sees: sub, or its NI/KT sparsifier when the gate fires.
 
     Returns the stage and the map from sub's vertices to the stage's
     (None when sub is not contracted).
     """
-    cfg = ctx.config
-    n = sub.n
-    delta = sub.min_degree()
-    gate = delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
     if not (gate and is_simple(sub)):
         return sub, None
     stage = sub
@@ -240,8 +285,11 @@ def _stage(ctx, alive, sub, k: int) -> Tuple[MultiGraph, Optional[ContractionMap
     return kt.contracted, kt.map
 
 
-def _tree_stage(ctx, alive, sub, rev, k: int, lam: int, stage, kt_map) -> Optional[KCutSolution]:
-    """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT."""
+def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Optional[KCutSolution]:
+    """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT.
+
+    sub is the input induced on alive, whose vertex i is order[i].
+    """
     cfg = ctx.config
     at_top = alive == ctx.top_alive
     if stage.n < max(k, 2) or stage.n > cfg.treecut_max_n:
@@ -251,6 +299,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int, lam: int, stage, kt_map) -> Option
     ctx.stats["trees_packed"] += count
     best = None
     seen = set()
+    checked: Dict[Tuple[int, int], bool] = {}  # safe-edge answers, shared by every tree
     for t in pack.trees:
         ids = t.edge_ids
         if ids in seen:
@@ -259,7 +308,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int, lam: int, stage, kt_map) -> Option
         if at_top and kt_map is None:
             ctx.stats["packed_trees"].append(tuple(sorted(ids)))
         trial = replace(cfg.trial, seed=_tree_seed(cfg.trial.seed, ids))
-        sol = tree_cut(stage, t, lam, k, trial)
+        sol = tree_cut(stage, t, lam, k, trial, checked)
         ctx.stats["trees_evaluated"] += 1
         part_local = sol.partition
         if kt_map is not None:
@@ -270,7 +319,7 @@ def _tree_stage(ctx, alive, sub, rev, k: int, lam: int, stage, kt_map) -> Option
     if best is None:
         return None
     value, part_local = best
-    blocks = [sorted(rev[v] for v in b) for b in part_local.blocks]
+    blocks = [sorted(order[v] for v in b) for b in part_local.blocks]
     cut = cut_edge_set(sub, part_local)
     return KCutSolution(value, Partition(blocks), cut, "treecut")
 

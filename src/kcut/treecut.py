@@ -690,7 +690,10 @@ def fill_states(
 
 
 def contract_safe_edges(
-    g: MultiGraph, t: RootedTree, lam: int
+    g: MultiGraph,
+    t: RootedTree,
+    lam: int,
+    checked: Optional[Dict[Tuple[int, int], bool]] = None,
 ) -> Tuple[MultiGraph, RootedTree, ContractionMap]:
     """Contract tree edges no small cut can cross.
 
@@ -699,13 +702,21 @@ def contract_safe_edges(
     edge can be contracted in both the graph and the tree.  Contracting
     such edges keeps every cut of value at most lam, so no other edge's
     status changes: one pass over the tree edges finds them all.
+
+    `checked` maps a vertex pair (smaller first) to that answer; callers
+    that check several trees of one graph at one lam share it.
     """
+    checked = {} if checked is None else checked
     safe = []
     for eid in t.edge_ids:
         u, v = g.endpoints(eid)
         if min(g.degree(u), g.degree(v)) <= lam:
             continue  # the cheap side already separates within budget
-        if _st_cut_exceeds(g, u, v, lam):
+        pair = (u, v) if u < v else (v, u)
+        exceeds = checked.get(pair)
+        if exceeds is None:
+            exceeds = checked[pair] = _st_cut_exceeds(g, u, v, lam)
+        if exceeds:
             safe.append(eid)
     if not safe:
         return g, t, ContractionMap.identity(g.n)
@@ -740,12 +751,14 @@ def tree_cut(
     lam: int,
     k: int,
     config: TrialConfig,
+    checked: Optional[Dict[Tuple[int, int], bool]] = None,
 ) -> KCutSolution:
     """Best k-cut found by deleting k-1 edges of the given spanning tree.
 
     Always returns a feasible cut whose value is re-scored from its
     deletion set; when the tree is tight for some minimum k-cut of value
     at most lam, exhaustive trials recover that minimum exactly.
+    `checked` is passed on to `contract_safe_edges`.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -754,7 +767,7 @@ def tree_cut(
     if k == 1:
         p = Partition([set(g.vertices)])
         return KCutSolution(0, p, frozenset(), "treecut")
-    work_g, work_t, cmap = contract_safe_edges(g, t, lam)
+    work_g, work_t, cmap = contract_safe_edges(g, t, lam, checked)
     if work_g.n < k:
         # over-contraction: the budget assumption was wrong; fall back to
         # the uncontracted tree, where feasibility is guaranteed

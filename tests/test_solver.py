@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcut.errors import BudgetExceeded, Infeasible
-from kcut.graph import cut_value
+from kcut.graph import connected_components, cut_value, induced_subgraph
 from kcut.oracles import OracleBudget, brute_min_kcut
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats
 import kcut.solver as solver
@@ -78,9 +79,9 @@ class TestExamples:
         lams = []
         real = solver.tree_cut
 
-        def recorded(g, t, lam, k, config):
+        def recorded(g, t, lam, k, config, *rest):
             lams.append(lam)
-            return real(g, t, lam, k, config)
+            return real(g, t, lam, k, config, *rest)
 
         monkeypatch.setattr(solver, "tree_cut", recorded)
         assert min_kcut(k12_pendant(), 3).value == 12
@@ -300,3 +301,71 @@ class TestPinnedTrialCells:
         sol = min_kcut(g, 3)
         assert sol.value == 4
         assert cells == [(frozenset(range(chain.n)), 9, 3)]  # lambda = branching's 2-cut
+
+
+class TestBranchingCells:
+    """Branching cells read the input's adjacency lists, not a subgraph copy."""
+
+    @staticmethod
+    def subgraph_sizes(monkeypatch):
+        sizes = []
+        real = solver.induced_subgraph
+
+        def counted(g, keep):
+            sizes.append(len(keep))
+            return real(g, keep)
+
+        monkeypatch.setattr(solver, "induced_subgraph", counted)
+        return sizes
+
+    def test_no_subgraph_when_no_cell_fits_the_tree_stage(self, monkeypatch):
+        # n = 36 is over treecut_max_n and the sparsifier gate stays off
+        sizes = self.subgraph_sizes(monkeypatch)
+        _, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques((12, 12, 12), 2), 3)
+        assert stats["cells"] > 1 and stats["trees_evaluated"] == 0
+        assert sizes == []
+
+    def test_subgraphs_only_for_cells_the_tree_stage_takes(self, monkeypatch):
+        # the 33-vertex chain-plus-pendant instance: every cell below the
+        # oversized top cell may stage itself, the top cell may not
+        chain = TestPinnedTrialCells.chained_cliques((11, 11, 10), 3)
+        g = from_pairs(chain.n + 1, list(chain.pairs) + [(0, chain.n)])
+        sizes = self.subgraph_sizes(monkeypatch)
+        assert min_kcut(g, 3).value == 4
+        assert sizes and max(sizes) <= SolverConfig().treecut_max_n
+
+    def test_safe_edge_pairs_checked_once_per_stage(self, monkeypatch):
+        stages = []
+        real_stage, real_check = solver._tree_stage, treecut._st_cut_exceeds
+
+        def stage(*args):
+            stages.append([])
+            return real_stage(*args)
+
+        def check(g, s, t, lam):
+            stages[-1].append(frozenset((s, t)))
+            return real_check(g, s, t, lam)
+
+        monkeypatch.setattr(solver, "_tree_stage", stage)
+        monkeypatch.setattr(treecut, "_st_cut_exceeds", check)
+        solve_with_stats(TestPinnedTrialCells.chained_cliques((5, 5, 4), 2), 3)
+        assert any(stages)
+        for pairs in stages:
+            assert len(pairs) == len(set(pairs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cells_match_the_induced_subgraph(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=9))
+        ends = st.integers(min_value=0, max_value=n - 1)
+        raw = data.draw(st.lists(st.tuples(ends, ends), max_size=24))
+        g = from_pairs(n, [(u, v) for u, v in raw if u != v])
+        alive = frozenset(data.draw(st.sets(ends, min_size=1)))
+        order = sorted(alive)
+        ctx = solver._Context(g, SolverConfig(), {})
+        sub, vmap = induced_subgraph(g, order)
+        assert ctx.split(alive, order) == [
+            sorted(order[x] for x in b) for b in connected_components(sub).blocks]
+        assert ctx.by_degree(alive, order) == sorted((sub.degree(vmap[v]), v) for v in order)
+        for v in order:
+            assert ctx.cut_edges(v, alive) == frozenset(sub.incident(vmap[v]))
