@@ -132,7 +132,10 @@ class _Context:
         self.oversized: set = set()
 
     def split(self, alive: FrozenSet[int], order: List[int]) -> List[List[int]]:
-        """Components of the input restricted to alive (sorted: order), by minimum vertex."""
+        """Components of the input restricted to alive, whose sorted vertices are order.
+
+        Each block is sorted, and blocks come in order of their minimum vertex.
+        """
         if alive == self.top_alive:
             return self.blocks
         neighbours = self.nbrs.__getitem__
