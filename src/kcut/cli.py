@@ -11,6 +11,7 @@ from dataclasses import replace
 from typing import Optional, Tuple
 
 from .errors import BudgetExceeded, Infeasible, ParseError
+from .graph import is_simple
 from .io import (
     FORMATS,
     build_report,
@@ -24,7 +25,8 @@ from .io import (
 from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing
 from .solver import MODES, SolverConfig, nontrivial_bound, solve_with_stats
-from .sparsify import KTParams, kt_sparsify, ni_sparsify
+from .solver import sparsify_for_k, tree_count
+from .sparsify import KTParams
 from .treecut import TrialConfig, tree_cut
 
 
@@ -41,7 +43,7 @@ def _build_parsers() -> dict:
     common.add_argument("--exhaustive", action="store_true")
     common.add_argument("--mode", choices=MODES, default="auto")
     common.add_argument("--config", default=None,
-                        help="JSON object (or @file) with solver/trial/kt overrides")
+                        help="JSON object (or @file) with trial/kt overrides")
     common.add_argument("--no-timing", action="store_true")
 
     parsers = {}
@@ -85,7 +87,7 @@ def _overrides(args) -> dict:
         raise ConfigError("--config is not valid JSON: %s" % e)
     if not isinstance(data, dict):
         raise ConfigError("--config must be a JSON object")
-    unknown = set(data) - {"solver", "trial", "kt"}
+    unknown = set(data) - {"trial", "kt"}
     if unknown:
         raise ConfigError("unknown --config sections: %s" % sorted(unknown))
     for section, payload in data.items():
@@ -106,9 +108,9 @@ def _seed(args) -> int:
     return args.seed if args.seed is not None else 0
 
 
-def _trial_config(args, overrides: dict) -> TrialConfig:
+def _trial_config(args) -> TrialConfig:
     """The `trial` section of --config, with the flags given on top."""
-    payload = dict(overrides.get("trial", {}))
+    payload = dict(args.overrides.get("trial", {}))
     if args.seed is not None:
         payload["seed"] = args.seed
     if args.exhaustive:
@@ -116,18 +118,6 @@ def _trial_config(args, overrides: dict) -> TrialConfig:
     elif args.trials is not None:
         payload["trials"] = args.trials
     return _apply(TrialConfig(), payload, "trial")
-
-
-def _solver_config(args) -> SolverConfig:
-    overrides = _overrides(args)
-    base = SolverConfig(mode=args.mode, trial=_trial_config(args, overrides))
-    return _apply(base, overrides.get("solver", {}), "solver")
-
-
-def _kt_params(args, k: int) -> KTParams:
-    overrides = _overrides(args)
-    base = KTParams(alpha=k * k)
-    return _apply(base, overrides.get("kt", {}), "kt")
 
 
 def _require_k(args) -> int:
@@ -152,7 +142,7 @@ def _times(args, **stages) -> Optional[dict]:
 def _cmd_solve(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = _require_k(args)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(mode=args.mode, trial=_trial_config(args))
     t0 = time.perf_counter()
     sol, stats = solve_with_stats(g, k, cfg)
     t_solve = time.perf_counter() - t0
@@ -182,16 +172,18 @@ def _cmd_sparsify(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = args.k if args.k is not None else 2
     delta = g.min_degree() if g.n else 0
-    lam = max(nontrivial_bound(g, k), 1)
+    section = args.overrides.get("kt")  # merged over the solver's alpha = k^2
+    params = None if section is None else _apply(KTParams(alpha=k * k), section, "kt")
+    if not is_simple(g):
+        raise ValueError("parallel edges: certificate is stated for simple graphs")
     t0 = time.perf_counter()
-    ni = ni_sparsify(g, lam)
-    kt = kt_sparsify(ni.subgraph, _kt_params(args, k))
+    lam, ni, kt = sparsify_for_k(g, k, params)
     t_run = time.perf_counter() - t0
     stats = {
         "delta": delta,
         "lambda": lam,
-        "ni_edges": ni.subgraph.m,
-        "ni_forests": len(ni.forests),
+        "ni_edges": ni.m,
+        "ni_forests": lam,
         "kt_iterations": [
             {"edges_before": it.edges_before, "edges_after": it.edges_after,
              "cut_edges": it.cut_edges, "cores": it.cores,
@@ -209,7 +201,7 @@ def _cmd_sparsify(args) -> dict:
 def _cmd_treepack(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = args.k if args.k is not None else 2
-    count = args.trials if args.trials is not None else _solver_config(args).tree_count(k, g.n)
+    count = args.trials if args.trials is not None else tree_count(k, g.n)
     t0 = time.perf_counter()
     pack = greedy_tree_packing(g, count)
     t_run = time.perf_counter() - t0
@@ -227,15 +219,14 @@ def _cmd_treepack(args) -> dict:
 def _cmd_treecut(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = _require_k(args)
-    cfg = _solver_config(args)
+    trial = _trial_config(args)
     lam = nontrivial_bound(g, k)
     t0 = time.perf_counter()
     tree = greedy_tree_packing(g, 1).trees[0]
-    sol = tree_cut(g, tree, lam, k, cfg.trial)
+    sol = tree_cut(g, tree, lam, k, trial)
     t_run = time.perf_counter() - t0
-    stats = {"lambda": lam, "tree_edges": sorted(tree.edge_ids),
-             "trials": cfg.trial.trials}
-    return build_report("treecut", n=g.n, m=g.m, k=k, seed=cfg.trial.seed,
+    stats = {"lambda": lam, "tree_edges": sorted(tree.edge_ids), "trials": trial.trials}
+    return build_report("treecut", n=g.n, m=g.m, k=k, seed=trial.seed,
                         solution=solution_payload(g, labels, sol), stats=stats,
                         times=_times(args, parse=t_parse, run=t_run))
 
@@ -264,7 +255,7 @@ def _cmd_gen(args) -> dict:
 
 def _cmd_bench(args) -> dict:
     k = args.k if args.k is not None else 2
-    cfg = _solver_config(args)
+    cfg = SolverConfig(mode=args.mode, trial=_trial_config(args))
     runs = []
     t_all = 0.0
     for i in range(args.count):
@@ -312,6 +303,7 @@ def run_cli(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
+        args.overrides = _overrides(args)
         report = _COMMANDS[command](args)
     except ParseError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -7,10 +7,10 @@ build no subgraph.  In cells whose vertex set is a whole connected
 component of the input, it then scans a greedy spanning-tree packing
 with the tree-cut dynamic program, passing the branching incumbent as
 the cut budget lambda; dense components are sparsified first.  When a
-component's stage is over treecut_max_n, every cell below it runs its
+component's stage is over TREECUT_MAX_N, every cell below it runs its
 own tree stage the same way, since the DP may fit there.  Only these
 cells build an induced subgraph, and only when the DP may run on it:
-the sparsifier gate fires or the cell has at most treecut_max_n
+the sparsifier gate fires or the cell has at most TREECUT_MAX_N
 vertices.  Both paths produce feasible cuts scored against the real
 graph, so the returned minimum is always an upper bound on the optimum
 and matches it whenever either path can express an optimal partition.
@@ -40,49 +40,46 @@ from .graph import (
 )
 from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing, is_tight
-from .sparsify import KTParams, kt_sparsify, ni_sparsify
+from .sparsify import KTParams, KTResult, kt_sparsify, ni_sparsify
 from .tree import RootedTree
 from .treecut import TrialConfig, tree_cut
 
 MODES = ("auto", "treecut_only", "oracle_only")
+KT_CONSTANT = 4.0  # scales the minimum-degree gate in front of the sparsifier
+PACK_CONSTANT = 3.0  # scales the number of packed trees
+PACK_CAP = 64  # most trees packed per tree stage
+TREECUT_MAX_N = 32  # largest graph the tree stage attempts
+ORACLE_MAX_N = 10  # largest graph the brute-force oracle checks or solves
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Pipeline constants and mode switches.
+    """Trial settings and mode switch; the pipeline's constants are module-level.
 
     Singleton branching runs in every cell; the tree stage runs once per
     connected component of the input and part count, with lambda = the
     branching incumbent, and in every cell below a component whose stage
-    is over treecut_max_n.  kt_constant scales the minimum-degree gate in
-    front of sparsification; pack_constant scales the number of packed
-    trees.  treecut_max_n bounds the graphs the tree-cut stage will
-    attempt: beyond it only branching runs, which keeps results sound but
-    may miss optima without small blocks.
+    is over TREECUT_MAX_N.  Beyond that size only branching runs, which
+    keeps results sound but may miss optima without small blocks.
 
     mode "auto" runs singleton branching and the tree stage, then checks
-    graphs of at most oracle_fallback_max_n vertices against the brute-force
+    graphs of at most ORACLE_MAX_N vertices against the brute-force
     oracle.  "treecut_only" skips only that check: singleton branching
     still runs and may supply the answer.  "oracle_only" runs the oracle
     alone.
     """
 
-    kt_constant: float = 4.0
-    pack_constant: float = 3.0
     trial: TrialConfig = TrialConfig()
-    oracle_fallback_max_n: int = 10
     mode: str = "auto"
-    pack_cap: int = 64
-    treecut_max_n: int = 32
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError("mode must be one of %s" % (MODES,))
 
-    def tree_count(self, k: int, n: int) -> int:
-        """Trees to pack for a k-cut of an n-vertex graph: pack_constant*k^3*ln n, capped."""
-        return max(1, min(math.ceil(self.pack_constant * k ** 3 * math.log(max(n, 2))),
-                          self.pack_cap))
+
+def tree_count(k: int, n: int) -> int:
+    """Trees to pack for a k-cut of an n-vertex graph: PACK_CONSTANT*k^3*ln n, capped."""
+    return max(1, min(math.ceil(PACK_CONSTANT * k ** 3 * math.log(max(n, 2))), PACK_CAP))
 
 
 def nontrivial_bound(g: MultiGraph, k: int) -> int:
@@ -127,7 +124,7 @@ class _Context:
         self.blocks = [sorted(b) for b in connected_components(g).blocks]
         self.components = {frozenset(b) for b in self.blocks}
         self.component_of = {v: c for c in self.components for v in c}
-        # components whose own stage outgrew treecut_max_n: every cell
+        # components whose own stage outgrew TREECUT_MAX_N: every cell
         # below them stages itself, as its DP may still fit
         self.oversized: set = set()
 
@@ -172,11 +169,11 @@ def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> KCutSolution:
     if hit is not None:
         return hit
     ctx.stats["cells"] += 1
-    order = sorted(alive)
     if k == 1:
-        sol = KCutSolution(0, Partition([order]), frozenset(), "base")
+        sol = KCutSolution(0, Partition([alive]), frozenset(), "base")
         ctx.memo[key] = sol
         return sol
+    order = sorted(alive)
     blocks = ctx.split(alive, order)
     if len(blocks) > 1:
         sol = _solve_components(ctx, blocks, k)
@@ -224,7 +221,6 @@ def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> KC
 
 
 def _solve_connected(ctx, alive, order, k: int) -> KCutSolution:
-    cfg = ctx.config
     n = len(order)
     by_degree = ctx.by_degree(alive, order)
     sub = staged = None
@@ -232,13 +228,13 @@ def _solve_connected(ctx, alive, order, k: int) -> KCutSolution:
     if whole or ctx.component_of[order[0]] in ctx.oversized:
         # staged before branching, so the cells below see the mark; a cell
         # the DP cannot take (over the cap, gate off) builds no subgraph
-        gate = _sparsify_gate(cfg, n, by_degree[0][0], k)
+        gate = _sparsify_gate(n, by_degree[0][0], k)
         stage_n = n
-        if gate or n <= cfg.treecut_max_n:
+        if gate or n <= TREECUT_MAX_N:
             sub = ctx.g0 if alive == ctx.top_alive else induced_subgraph(ctx.g0, order)[0]
             staged = _stage(ctx, alive, sub, k, gate)
             stage_n = staged[0].n
-        if whole and stage_n > cfg.treecut_max_n:
+        if whole and stage_n > TREECUT_MAX_N:
             ctx.oversized.add(alive)
     best: Optional[KCutSolution] = None
     # singleton branching, cheapest boundary first: any branch whose vertex
@@ -263,9 +259,22 @@ def _solve_connected(ctx, alive, order, k: int) -> KCutSolution:
     return best
 
 
-def _sparsify_gate(cfg: SolverConfig, n: int, delta: int, k: int) -> bool:
+def _sparsify_gate(n: int, delta: int, k: int) -> bool:
     """True when an n-vertex cell of minimum degree delta is dense enough to sparsify."""
-    return delta > cfg.kt_constant * max(k * k * math.log(max(n, 2)), k ** 3)
+    return delta > KT_CONSTANT * max(k * k * math.log(max(n, 2)), k ** 3)
+
+
+def sparsify_for_k(g: MultiGraph, k: int,
+                   kt: Optional[KTParams] = None) -> Tuple[int, MultiGraph, KTResult]:
+    """The sparsifier the tree DP sees for a k-cut of g, which must be simple.
+
+    NI keeps max(k^2 delta, 1) forests, unless they would keep every edge;
+    KT then contracts with kt, by default alpha = k^2.  Returns the forest
+    count, NI's subgraph and KT's result.
+    """
+    forests = max(nontrivial_bound(g, k), 1)
+    ni = g if _ni_keeps_every_edge(g, forests) else ni_sparsify(g, forests).subgraph
+    return forests, ni, kt_sparsify(ni, kt or KTParams(alpha=k * k))
 
 
 def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[ContractionMap]]:
@@ -276,14 +285,10 @@ def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[Co
     """
     if not (gate and is_simple(sub)):
         return sub, None
-    stage = sub
-    budget = max(nontrivial_bound(sub, k), 1)
-    if not _ni_keeps_every_edge(sub, budget):
-        stage = ni_sparsify(sub, budget).subgraph
-    kt = kt_sparsify(stage, KTParams(alpha=k * k))
+    _, ni, kt = sparsify_for_k(sub, k)
     ctx.stats["sparsified_cells"] += 1
     if alive == ctx.top_alive:
-        ctx.stats["ni_edges"] = stage.m
+        ctx.stats["ni_edges"] = ni.m
         ctx.stats["kt_iterations"] = len(kt.iterations)
     return kt.contracted, kt.map
 
@@ -295,9 +300,9 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     """
     cfg = ctx.config
     at_top = alive == ctx.top_alive
-    if stage.n < max(k, 2) or stage.n > cfg.treecut_max_n:
+    if stage.n < max(k, 2) or stage.n > TREECUT_MAX_N:
         return None
-    count = cfg.tree_count(k, stage.n)
+    count = tree_count(k, stage.n)
     pack = greedy_tree_packing(stage, count)
     ctx.stats["trees_packed"] += count
     best = None
@@ -351,16 +356,15 @@ def solve_with_stats(
     if g.n < 1 or k < 1 or k > g.n:
         raise Infeasible("cannot cut %d vertices into %d parts" % (g.n, k))
     if config.mode == "oracle_only":
-        if g.n > config.oracle_fallback_max_n:
-            raise BudgetExceeded("oracle mode capped at %d vertices"
-                                 % config.oracle_fallback_max_n)
+        if g.n > ORACLE_MAX_N:
+            raise BudgetExceeded("oracle mode capped at %d vertices" % ORACLE_MAX_N)
         sol = brute_min_kcut(g, k)
         stats["oracle_value"] = sol.value
         return sol, stats
     ctx = _Context(g, config, stats)
     sol = _solve(ctx, frozenset(g.vertices), k)
     assert sol.value == cut_value(g, sol.partition)
-    if config.mode == "auto" and g.n <= config.oracle_fallback_max_n:
+    if config.mode == "auto" and g.n <= ORACLE_MAX_N:
         oracle = brute_min_kcut(g, k)
         stats["oracle_value"] = oracle.value
         stats["oracle_agrees"] = sol.value == oracle.value

@@ -60,15 +60,15 @@ ROOT = -1  # stand-in endpoint for "kept with the root side" in the cut graph
 # E' and the branch count stay this small; larger subtrees sample instead
 EXHAUSTIVE_EPRIME_CAP = 20
 EXHAUSTIVE_BRANCH_CAP = 16
+SWEEP_MAX_EDGES = 12  # subtrees this small enumerate deletions exactly
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Seed and count of the randomized trials, and where exact sweeps stop."""
+    """Seed and count of the randomized trials run above SWEEP_MAX_EDGES."""
 
     seed: int = 0
     trials: Union[int, str] = 16  # an integer, or "exhaustive"
-    sweep_max_edges: int = 12  # subtrees this small enumerate deletions exactly
 
     def __post_init__(self):
         if self.trials != "exhaustive" and not (type(self.trials) is int and self.trials >= 1):
@@ -675,7 +675,7 @@ def fill_states(
                 continue
             if sub is None:
                 sub, local_t, rev = _subtree_instance(g, t, x)
-            if edges_avail <= config.sweep_max_edges:
+            if edges_avail <= SWEEP_MAX_EDGES:
                 value, cert = _sweep_cell(sub, local_t, parts)
             else:
                 if ctx is None:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -236,6 +237,15 @@ class TestCli:
         assert run_cli(["solve", "--k", "2", "--config", "{nope", path]) == 1
         assert run_cli(["solve", "--k", "2", "--config",
                         '{"solver": {"bogus_field": 3}}', path]) == 1
+        # the solver section is gone: --mode sets the mode, the trial
+        # section the trials, and a solver section is refused, not ignored
+        capsys.readouterr()
+        assert run_cli(["solve", "--k", "2", "--mode", "treecut_only", "--config",
+                        '{"solver": {"mode": "auto"}}', path]) == 1
+        assert "unknown --config sections" in capsys.readouterr().err
+        assert run_cli(["solve", "--k", "2", "--config",
+                        '{"solver": {"trial": {"trials": 3}}}', path]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_flags_win_over_config_trial_section(self, tmp_path, capsys, monkeypatch):
         import kcut.cli
@@ -274,7 +284,8 @@ class TestCli:
         sections += ['{"trial": {"%s": %s}}' % field
                      for field in (("rank_preprocess", "true"), ("r_cap", "2"),
                                    ("exhaustive_eprime_cap", "20"),
-                                   ("exhaustive_branch_cap", "16"))]
+                                   ("exhaustive_branch_cap", "16"),
+                                   ("sweep_max_edges", "12"))]
         for section in sections:
             for command in ("solve", "treecut"):
                 assert run_cli([command, "--k", "2", "--config", section, path]) == 1
@@ -308,14 +319,11 @@ class TestCli:
     def test_treepack_reads_solver_config(self, tmp_path, capsys):
         path = write(tmp_path, "tri2.txt", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
         code, report = run_json(capsys, ["treepack", "--k", "2", path])
-        assert code == 0 and report["stats"]["count"] == 44
-        code, report = run_json(capsys, ["treepack", "--k", "2", "--config",
-                                         '{"solver": {"pack_cap": 2}}', path])
-        assert code == 0 and report["stats"]["count"] == 2
-        assert len(report["stats"]["trees"]) == 2
-        code, report = run_json(capsys, ["treepack", "--k", "2", "--config",
-                                         '{"solver": {"pack_constant": 0.1}}', path])
-        assert code == 0 and report["stats"]["count"] == 2  # ceil(0.1 * 8 * ln 6)
+        assert code == 0 and report["stats"]["count"] == 44  # ceil(3 * 8 * ln 6)
+        # the tree count's constants are fixed in kcut.solver
+        for section in ('{"solver": {"pack_cap": 2}}', '{"solver": {"pack_constant": 0.1}}'):
+            assert run_cli(["treepack", "--k", "2", "--config", section, path]) == 1
+            assert "unknown --config sections" in capsys.readouterr().err
 
     def test_treecut_cycle(self, tmp_path, capsys):
         path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))
@@ -323,12 +331,28 @@ class TestCli:
         assert code == 0
         assert report["solution"]["value"] == 2
 
-    def test_sparsify(self, tmp_path, capsys):
+    def test_sparsify(self, tmp_path, capsys, monkeypatch):
+        import kcut.sparsify
+        built = []
+        real = kcut.sparsify.ni_sparsify
+
+        def spy(g, lam):
+            built.append(lam)
+            return real(g, lam)
+
+        for name, module in list(sys.modules.items()):  # every module that imported it
+            if name.startswith("kcut") and getattr(module, "ni_sparsify", None) is real:
+                monkeypatch.setattr(module, "ni_sparsify", spy)
         path = write(tmp_path, "k8.txt", serialize_graph(complete_graph(8)))
         code, report = run_json(capsys, ["sparsify", "--k", "2", path])
         assert code == 0
-        assert report["stats"]["ni_edges"] <= 28
+        # 28 forests of K8 keep all 28 edges, so none are built
+        assert built == []
+        assert (report["stats"]["ni_forests"], report["stats"]["ni_edges"]) == (28, 28)
         assert isinstance(report["stats"]["kt_iterations"], list)
+        multi = write(tmp_path, "multi.txt", "0 1\n0 1\n1 2\n2 0\n")
+        assert run_cli(["sparsify", "--k", "2", multi]) == 1
+        assert "parallel edges: certificate is stated for simple graphs" in capsys.readouterr().err
 
     def test_sparsify_lambda_is_the_nontrivial_bound(self, tmp_path, capsys):
         path = write(tmp_path, "k8.txt", serialize_graph(complete_graph(8)))

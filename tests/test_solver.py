@@ -153,9 +153,9 @@ class TestSparsifierGate:
         _, stats = solve_with_stats(two_k4_bridge(), 2)
         assert stats["sparsified_cells"] == 0
 
-    def test_forced_gate_still_exact(self):
-        cfg = SolverConfig(kt_constant=0.01)
-        sol, stats = solve_with_stats(complete_graph(8), 2, cfg)
+    def test_forced_gate_still_exact(self, monkeypatch):
+        monkeypatch.setattr(solver, "KT_CONSTANT", 0.01)
+        sol, stats = solve_with_stats(complete_graph(8), 2)
         assert stats["sparsified_cells"] >= 1
         assert sol.value == 7
         assert stats["oracle_agrees"] is True
@@ -332,7 +332,7 @@ class TestBranchingCells:
         g = from_pairs(chain.n + 1, list(chain.pairs) + [(0, chain.n)])
         sizes = self.subgraph_sizes(monkeypatch)
         assert min_kcut(g, 3).value == 4
-        assert sizes and max(sizes) <= SolverConfig().treecut_max_n
+        assert sizes and max(sizes) <= solver.TREECUT_MAX_N
 
     def test_safe_edge_pairs_checked_once_per_stage(self, monkeypatch):
         stages = []

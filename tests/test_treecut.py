@@ -9,6 +9,7 @@ from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut, quotie
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
 from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree, build_hld, forest_components, forest_labels, tree_quotient
+import kcut.treecut as treecut
 from kcut.treecut import (
     INF,
     CandidateSet,
@@ -847,8 +848,9 @@ class TestTreeCut:
             assert sol.value >= tree_best >= overall
             assert sol.value == tree_best  # sweep regime is exact
 
-    def test_trials_only_path_and_cycle(self):
-        cfg = TrialConfig(seed=3, trials="exhaustive", sweep_max_edges=0)
+    def test_trials_only_path_and_cycle(self, monkeypatch):
+        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        cfg = TrialConfig(seed=3, trials="exhaustive")
         g = path_graph(5)
         t = RootedTree.bfs_spanning(g)
         assert tree_cut(g, t, 8, 3, cfg).value == 2
@@ -856,8 +858,9 @@ class TestTreeCut:
         t = spanning_path(g, [0, 1, 2, 3, 4, 5])
         assert tree_cut(g, t, 8, 2, cfg).value == 2
 
-    def test_trials_only_sound(self):
-        cfg = TrialConfig(seed=9, trials=8, sweep_max_edges=0)
+    def test_trials_only_sound(self, monkeypatch):
+        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        cfg = TrialConfig(seed=9, trials=8)
         rng = random.Random(31)
         hits = 0
         for _ in range(15):
@@ -874,13 +877,14 @@ class TestTreeCut:
         (3, 14, 16, 4, [1, 4, 15, 22]),
         (4, 13, 14, 5, [1, 11, 13, 14, 19]),
     ])
-    def test_exhaustive_trials_pinned(self, seed, n, extra, value, cut):
+    def test_exhaustive_trials_pinned(self, monkeypatch, seed, n, extra, value, cut):
         # every subtree stays under the exhaustive caps, so each contraction
         # pattern is tried once per green set; value and cut edges were
         # captured before the trial engine moved to flat per-vertex lists
         g = random_connected_graph(random.Random(seed), n, extra)
         t = greedy_tree_packing(g, 1).trees[0]
-        cfg = TrialConfig(seed=4, trials="exhaustive", sweep_max_edges=0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        cfg = TrialConfig(seed=4, trials="exhaustive")
         sol = tree_cut(g, t, 12, 3, cfg)
         assert sol.value == value
         assert sorted(sol.cut_edges) == cut
@@ -890,13 +894,14 @@ class TestTreeCut:
         (6, 13, 18, 12, 12, [3, 8, 9, 11, 12, 13, 15, 16, 19, 26, 27, 29]),
         (9, 14, 20, 14, 14, [1, 5, 11, 12, 15, 17, 18, 19, 21, 22, 24, 26, 29, 31]),
     ])
-    def test_k5_sampled_trials_pinned(self, seed, n, extra, lam, value, cut):
+    def test_k5_sampled_trials_pinned(self, monkeypatch, seed, n, extra, lam, value, cut):
         # five parts, so non-root cells price budgets up to 3 through the
         # state table; value and cut edges were captured while tree_cut
         # still looped over rank-preprocessing candidates
         g = random_connected_graph(random.Random(seed), n, extra)
         t = greedy_tree_packing(g, 1).trees[0]
-        cfg = TrialConfig(seed=2, trials=6, sweep_max_edges=0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        cfg = TrialConfig(seed=2, trials=6)
         sol = tree_cut(g, t, lam, 5, cfg)
         assert sol.value == value
         assert sorted(sol.cut_edges) == cut
@@ -905,10 +910,11 @@ class TestTreeCut:
         states = fill_states(g, t, 5, lam, cfg)
         assert any(states.value(x, 4) < INF for x in t.order if x != t.root)
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, monkeypatch):
+        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
         g = random_connected_graph(random.Random(2), 7, 4)
         t = random_spanning_tree(random.Random(3), g)
-        cfg = TrialConfig(seed=5, trials=6, sweep_max_edges=0)
+        cfg = TrialConfig(seed=5, trials=6)
         a = tree_cut(g, t, 6, 3, cfg)
         b = tree_cut(g, t, 6, 3, cfg)
         assert a.value == b.value and a.partition.blocks == b.partition.blocks
