@@ -201,7 +201,8 @@ def _cmd_sparsify(args) -> dict:
 def _cmd_treepack(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = args.k if args.k is not None else 2
-    count = args.trials if args.trials is not None else tree_count(k, g.n)
+    default = tree_count(k, g.n)  # rejects k < 1 even when --trials sets the count
+    count = args.trials if args.trials is not None else default
     t0 = time.perf_counter()
     pack = greedy_tree_packing(g, count)
     t_run = time.perf_counter() - t0

@@ -2,11 +2,11 @@
 
 Branches on singleton blocks (delete a vertex, solve for k-1) in every
 cell.  Branching cells read the input's adjacency lists, restricted to
-the cell's vertex set, for its components, degrees and cut edges; they
-build no subgraph.  In cells whose vertex set is a whole connected
-component of the input, it then scans a greedy spanning-tree packing
-with the tree-cut dynamic program, passing the branching incumbent as
-the cut budget lambda; dense components are sparsified first.  When a
+the cell's vertex set, for its components and degrees; they build no
+subgraph.  In cells whose vertex set is a whole connected component of
+the input, it then scans a greedy spanning-tree packing with the
+tree-cut dynamic program, passing the branching incumbent as the cut
+budget lambda; dense components are sparsified first.  When a
 component's stage is over TREECUT_MAX_N, every cell below it runs its
 own tree stage the same way, since the DP may fit there.  Only these
 cells build an induced subgraph, and only when the DP may run on it:
@@ -14,6 +14,8 @@ the sparsifier gate fires or the cell has at most TREECUT_MAX_N
 vertices.  Both paths produce feasible cuts scored against the real
 graph, so the returned minimum is always an upper bound on the optimum
 and matches it whenever either path can express an optimal partition.
+A cell holds only its value, blocks and provenance; the answer's
+partition and cut edges are built once, from the top cell's blocks.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ PACK_CAP = 64  # most trees packed per tree stage
 TREECUT_MAX_N = 32  # largest graph the tree stage attempts
 ORACLE_MAX_N = 10  # largest graph the brute-force oracle checks or solves
 
+Cell = Tuple[int, Tuple[Tuple[int, ...], ...], str]  # a cell's (value, blocks, provenance)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -79,6 +83,8 @@ class SolverConfig:
 
 def tree_count(k: int, n: int) -> int:
     """Trees to pack for a k-cut of an n-vertex graph: PACK_CONSTANT*k^3*ln n, capped."""
+    if k < 1:
+        raise ValueError("k must be positive")
     return max(1, min(math.ceil(PACK_CONSTANT * k ** 3 * math.log(max(n, 2))), PACK_CAP))
 
 
@@ -116,7 +122,7 @@ class _Context:
         self.g0 = g
         self.config = config
         self.stats = stats
-        self.memo: Dict[Tuple[FrozenSet[int], int], KCutSolution] = {}
+        self.memo: Dict[Tuple[FrozenSet[int], int], Cell] = {}
         self.top_alive = frozenset(g.vertices)
         # each vertex's neighbours, one entry per incident edge, aligned
         # with g.incident(v)
@@ -158,40 +164,33 @@ class _Context:
         count = Counter(chain.from_iterable(map(self.nbrs.__getitem__, order)))
         return sorted(zip(map(count.__getitem__, order), order))
 
-    def cut_edges(self, v: int, alive: FrozenSet[int]) -> FrozenSet[int]:
-        """Ids of the edges from v to the rest of alive."""
-        return frozenset(e for e, w in zip(self.g0.incident(v), self.nbrs[v]) if w in alive)
 
-
-def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> KCutSolution:
+def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> Cell:
     key = (alive, k)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
     ctx.stats["cells"] += 1
     if k == 1:
-        sol = KCutSolution(0, Partition([alive]), frozenset(), "base")
-        ctx.memo[key] = sol
-        return sol
-    order = sorted(alive)
-    blocks = ctx.split(alive, order)
-    if len(blocks) > 1:
-        sol = _solve_components(ctx, blocks, k)
+        cell = (0, (tuple(alive),), "base")
     else:
-        sol = _solve_connected(ctx, alive, order, k)
-    ctx.memo[key] = sol
-    return sol
+        order = sorted(alive)
+        blocks = ctx.split(alive, order)
+        if len(blocks) > 1:
+            cell = _solve_components(ctx, blocks, k)
+        else:
+            cell = _solve_connected(ctx, alive, order, k)
+    ctx.memo[key] = cell
+    return cell
 
 
-def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> KCutSolution:
+def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> Cell:
     """Split the part budget across connected components; merges are free."""
     if k <= len(blocks_orig):
         # enough components already: keep k-1 of them apart, merge the rest
-        merged = [blocks_orig[i] for i in range(k - 1)]
-        rest = [v for b in blocks_orig[k - 1:] for v in b]
-        merged.append(rest)
-        return KCutSolution(0, Partition(merged), frozenset(), "components")
-    tables: List[Dict[int, KCutSolution]] = []
+        rest = tuple(v for b in blocks_orig[k - 1:] for v in b)
+        return 0, tuple(map(tuple, blocks_orig[:k - 1])) + (rest,), "components"
+    tables: List[Dict[int, Cell]] = []
     for block in blocks_orig:
         table = {}
         for j in range(1, min(k, len(block)) + 1):
@@ -201,26 +200,21 @@ def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> KC
     for table in tables:
         nxt: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
         for spent, (val, picks) in dp.items():
-            for j, sol in table.items():
+            for j, cell in table.items():
                 tot = spent + j
                 if tot > k:
                     continue
-                cand = (val + sol.value, picks + (j,))
+                cand = (val + cell[0], picks + (j,))
                 cur = nxt.get(tot)
                 if cur is None or cand < cur:
                     nxt[tot] = cand
         dp = nxt
     value, picks = dp[k]
-    blocks: List[List[int]] = []
-    cut: FrozenSet[int] = frozenset()
-    for table, j in zip(tables, picks):
-        sol = table[j]
-        blocks.extend(list(b) for b in sol.partition.blocks)
-        cut |= sol.cut_edges
-    return KCutSolution(value, Partition(blocks), cut, "components")
+    blocks = tuple(b for table, j in zip(tables, picks) for b in table[j][1])
+    return value, blocks, "components"
 
 
-def _solve_connected(ctx, alive, order, k: int) -> KCutSolution:
+def _solve_connected(ctx, alive, order, k: int) -> Cell:
     n = len(order)
     by_degree = ctx.by_degree(alive, order)
     sub = staged = None
@@ -236,25 +230,22 @@ def _solve_connected(ctx, alive, order, k: int) -> KCutSolution:
             stage_n = staged[0].n
         if whole and stage_n > TREECUT_MAX_N:
             ctx.oversized.add(alive)
-    best: Optional[KCutSolution] = None
+    best: Optional[Cell] = None
     # singleton branching, cheapest boundary first: any branch whose vertex
     # degree already matches the incumbent cannot improve on it
     for d, v in by_degree:
-        if best is not None and d >= best.value:
+        if best is not None and d >= best[0]:
             break
         if k - 1 > n - 1:
             break
-        rec = _solve(ctx, alive - {v}, k - 1)
-        value = rec.value + d
-        if best is None or value < best.value:
-            blocks = [list(b) for b in rec.partition.blocks] + [[v]]
-            cut = rec.cut_edges | ctx.cut_edges(v, alive)
-            best = KCutSolution(value, Partition(blocks), cut, "branch")
+        value, blocks, _ = _solve(ctx, alive - {v}, k - 1)
+        if best is None or value + d < best[0]:
+            best = (value + d, blocks + ((v,),), "branch")
     if best is None:
         raise Infeasible("no feasible %d-cut of %d vertices" % (k, n))
     if staged is not None:
-        tree_best = _tree_stage(ctx, alive, sub, order, k, best.value, *staged)
-        if tree_best is not None and tree_best.value < best.value:
+        tree_best = _tree_stage(ctx, alive, sub, order, k, best[0], *staged)
+        if tree_best is not None and tree_best[0] < best[0]:
             best = tree_best
     return best
 
@@ -293,10 +284,10 @@ def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[Co
     return kt.contracted, kt.map
 
 
-def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Optional[KCutSolution]:
+def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Optional[Cell]:
     """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT.
 
-    sub is the input induced on alive, whose vertex i is order[i].
+    sub is the input induced on alive, whose vertex i is order[i]; the cell names input ids.
     """
     cfg = ctx.config
     at_top = alive == ctx.top_alive
@@ -327,9 +318,7 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     if best is None:
         return None
     value, part_local = best
-    blocks = [sorted(order[v] for v in b) for b in part_local.blocks]
-    cut = cut_edge_set(sub, part_local)
-    return KCutSolution(value, Partition(blocks), cut, "treecut")
+    return value, tuple(tuple(order[v] for v in b) for b in part_local.blocks), "treecut"
 
 
 def _fresh_stats(config: SolverConfig) -> dict:
@@ -362,8 +351,10 @@ def solve_with_stats(
         stats["oracle_value"] = sol.value
         return sol, stats
     ctx = _Context(g, config, stats)
-    sol = _solve(ctx, frozenset(g.vertices), k)
-    assert sol.value == cut_value(g, sol.partition)
+    value, blocks, provenance = _solve(ctx, frozenset(g.vertices), k)
+    partition = Partition(blocks)
+    assert value == cut_value(g, partition)
+    sol = KCutSolution(value, partition, cut_edge_set(g, partition), provenance)
     if config.mode == "auto" and g.n <= ORACLE_MAX_N:
         oracle = brute_min_kcut(g, k)
         stats["oracle_value"] = oracle.value

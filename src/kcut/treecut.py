@@ -757,8 +757,9 @@ def tree_cut(
 
     Always returns a feasible cut whose value is re-scored from its
     deletion set; when the tree is tight for some minimum k-cut of value
-    at most lam, exhaustive trials recover that minimum exactly.
-    `checked` is passed on to `contract_safe_edges`.
+    at most lam, exhaustive trials recover that minimum exactly.  A
+    contracted tree with at most SWEEP_MAX_EDGES edges is swept at the
+    root alone.  `checked` is passed on to `contract_safe_edges`.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -773,7 +774,10 @@ def tree_cut(
         # the uncontracted tree, where feasibility is guaranteed
         work_g, work_t = g, t
         cmap = ContractionMap.identity(g.n)
-    cert = fill_states(work_g, work_t, k, lam, config).cert(work_t.root, k)
+    if work_t.n - 1 <= SWEEP_MAX_EDGES:  # fill_states would fill cells nobody reads
+        cert = _sweep_cell(work_g, work_t, k)[1]
+    else:
+        cert = fill_states(work_g, work_t, k, lam, config).cert(work_t.root, k)
     if cert is None:
         raise Infeasible("no feasible deletion found")
     original = pull_back(forest_components(work_t, cert), cmap, g.n)

@@ -316,6 +316,13 @@ class TestCli:
         assert len(report["stats"]["trees"]) == 3
         assert all(len(ids) == 5 for ids in report["stats"]["trees"])
 
+    def test_treepack_rejects_nonpositive_k(self, tmp_path, capsys):
+        path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))
+        for k in ("0", "-2"):
+            for extra in ([], ["--trials", "3"]):
+                assert run_cli(["treepack", "--k", k] + extra + [path]) == 1
+                assert "k must be positive" in capsys.readouterr().err
+
     def test_treepack_reads_solver_config(self, tmp_path, capsys):
         path = write(tmp_path, "tri2.txt", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
         code, report = run_json(capsys, ["treepack", "--k", "2", path])

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcut.errors import BudgetExceeded, Infeasible
-from kcut.graph import connected_components, cut_value, induced_subgraph
+from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph
 from kcut.oracles import OracleBudget, brute_min_kcut
-from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats
+from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats, tree_count
 import kcut.solver as solver
 import kcut.treecut as treecut
 from kcut.treecut import TrialConfig
@@ -105,6 +105,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SolverConfig(mode="fast")
 
+    def test_tree_count_rejects_nonpositive_k(self):
+        assert tree_count(2, 6) == 44  # ceil(3 * 8 * ln 6)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="k must be positive"):
+                tree_count(k, 6)
+
 
 class TestDisconnected:
     def test_merging_components_is_free(self):
@@ -181,6 +187,20 @@ class TestAgainstOracle:
             assert sol.value >= oracle
             exact += sol.value == oracle
         assert exact >= int(0.9 * len(cases))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_answer_is_rebuilt_from_its_partition(self, data):
+        # parallel edges, isolated vertices and several components all occur
+        n = data.draw(st.integers(min_value=1, max_value=9))
+        ends = st.integers(min_value=0, max_value=n - 1)
+        raw = data.draw(st.lists(st.tuples(ends, ends), max_size=24))
+        g = from_pairs(n, [(u, v) for u, v in raw if u != v])
+        k = data.draw(st.integers(min_value=1, max_value=min(n, 4)))
+        sol = min_kcut(g, k)
+        assert sol.partition.k == k
+        assert sol.value == cut_value(g, sol.partition)
+        assert sol.cut_edges == cut_edge_set(g, sol.partition)
 
     def test_exhaustive_trials_on_tight_instances(self):
         # cycles: every 2-cut severs two edges and some packed tree is a
@@ -292,10 +312,10 @@ class TestPinnedTrialCells:
         real_stage = solver._tree_stage
 
         def recorded(ctx, alive, sub, rev, k, lam, stage, kt_map):
-            sol = real_stage(ctx, alive, sub, rev, k, lam, stage, kt_map)
-            if sol is not None:
-                cells.append((alive, lam, sol.value))
-            return sol
+            cell = real_stage(ctx, alive, sub, rev, k, lam, stage, kt_map)
+            if cell is not None:
+                cells.append((alive, lam, cell[0]))
+            return cell
 
         monkeypatch.setattr(solver, "_tree_stage", recorded)
         sol = min_kcut(g, 3)
@@ -367,5 +387,3 @@ class TestBranchingCells:
         assert ctx.split(alive, order) == [
             sorted(order[x] for x in b) for b in connected_components(sub).blocks]
         assert ctx.by_degree(alive, order) == sorted((sub.degree(vmap[v]), v) for v in order)
-        for v in order:
-            assert ctx.cut_edges(v, alive) == frozenset(sub.incident(vmap[v]))

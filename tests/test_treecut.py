@@ -848,6 +848,31 @@ class TestTreeCut:
             assert sol.value >= tree_best >= overall
             assert sol.value == tree_best  # sweep regime is exact
 
+    def test_small_contracted_tree_is_swept_at_the_root(self, monkeypatch):
+        # with at most SWEEP_MAX_EDGES tree edges, only the root's cell is
+        # read, so tree_cut sweeps it without filling a state table
+        filled = []
+        real_fill = treecut.fill_states
+
+        def fill(*args):
+            filled.append(args[1].n)
+            return real_fill(*args)
+
+        monkeypatch.setattr(treecut, "fill_states", fill)
+        rng = random.Random(41)
+        for _ in range(30):
+            n = rng.randrange(4, treecut.SWEEP_MAX_EDGES + 2)
+            g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
+            t = random_spanning_tree(rng, g)
+            for k in range(2, 5):
+                best = brute_tree_kcut(g, t, k).value
+                sol = tree_cut(g, t, best, k, EXH)
+                assert sol.value == best == cut_value(g, sol.partition)
+        assert filled == []
+        g = path_graph(treecut.SWEEP_MAX_EDGES + 2)
+        assert tree_cut(g, RootedTree.bfs_spanning(g), g.m, 2, EXH).value == 1
+        assert filled == [g.n]
+
     def test_trials_only_path_and_cycle(self, monkeypatch):
         monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
         cfg = TrialConfig(seed=3, trials="exhaustive")
