@@ -1,13 +1,12 @@
 """Command-line front end: parse a graph, run a stage or the full solver,
-and print a JSON report."""
+and print a JSON report.  Flags are the only settings, and each command
+takes only the flags it reads."""
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import replace
 from typing import Optional, Tuple
 
 from .errors import BudgetExceeded, Infeasible, ParseError
@@ -26,12 +25,11 @@ from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing
 from .solver import MODES, SolverConfig, nontrivial_bound, solve_with_stats
 from .solver import sparsify_for_k, tree_count
-from .sparsify import KTParams
 from .treecut import TrialConfig, tree_cut
 
 
 class ConfigError(ValueError):
-    """Bad flag combination or --config payload."""
+    """Missing or bad flag for the command."""
 
 
 def _build_parsers() -> dict:
@@ -39,18 +37,27 @@ def _build_parsers() -> dict:
     common.add_argument("--format", choices=FORMATS, default="edgelist")
     common.add_argument("--k", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--exhaustive", action="store_true")
-    common.add_argument("--mode", choices=MODES, default="auto")
-    common.add_argument("--config", default=None,
-                        help="JSON object (or @file) with trial/kt overrides")
     common.add_argument("--no-timing", action="store_true")
+    trial = argparse.ArgumentParser(add_help=False)
+    trial.add_argument("--trials", type=int, default=None)
+    trial.add_argument("--exhaustive", action="store_true")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=MODES, default="auto")
 
+    parents = {
+        "solve": [common, trial, mode],
+        "oracle": [common],
+        "sparsify": [common],
+        "treepack": [common],
+        "treecut": [common, trial],
+    }
     parsers = {}
-    for name in ("solve", "oracle", "sparsify", "treepack", "treecut"):
-        p = argparse.ArgumentParser(prog="kcut %s" % name, parents=[common])
+    for name, shared in parents.items():
+        p = argparse.ArgumentParser(prog="kcut %s" % name, parents=shared)
         p.add_argument("path", nargs="?", default="-")
         parsers[name] = p
+    # treepack's own --trials is its tree count
+    parsers["treepack"].add_argument("--trials", type=int, default=None)
     p = argparse.ArgumentParser(prog="kcut gen", parents=[common])
     p.add_argument("kind", choices=("clique-reduction", "random"))
     p.add_argument("path", nargs="?", default="-")
@@ -59,7 +66,7 @@ def _build_parsers() -> dict:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--multi", action="store_true")
     parsers["gen"] = p
-    p = argparse.ArgumentParser(prog="kcut bench", parents=[common])
+    p = argparse.ArgumentParser(prog="kcut bench", parents=[common, trial, mode])
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--count", type=int, default=5)
@@ -74,50 +81,17 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _overrides(args) -> dict:
-    if not args.config:
-        return {}
-    text = args.config
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError("--config is not valid JSON: %s" % e)
-    if not isinstance(data, dict):
-        raise ConfigError("--config must be a JSON object")
-    unknown = set(data) - {"trial", "kt"}
-    if unknown:
-        raise ConfigError("unknown --config sections: %s" % sorted(unknown))
-    for section, payload in data.items():
-        if not isinstance(payload, dict):
-            raise ConfigError("--config section %r must be an object" % section)
-    return data
-
-
-def _apply(base, payload: dict, what: str):
-    try:
-        return replace(base, **payload)
-    except (TypeError, ValueError) as e:
-        raise ConfigError("bad %s override: %s" % (what, e))
-
-
 def _seed(args) -> int:
     """The --seed flag, 0 when it is not given."""
     return args.seed if args.seed is not None else 0
 
 
 def _trial_config(args) -> TrialConfig:
-    """The `trial` section of --config, with the flags given on top."""
-    payload = dict(args.overrides.get("trial", {}))
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.exhaustive:
-        payload["trials"] = "exhaustive"
-    elif args.trials is not None:
-        payload["trials"] = args.trials
-    return _apply(TrialConfig(), payload, "trial")
+    """--seed, --trials and --exhaustive; without the last two, TrialConfig's default count."""
+    trials = "exhaustive" if args.exhaustive else args.trials
+    if trials is None:
+        return TrialConfig(seed=_seed(args))
+    return TrialConfig(seed=_seed(args), trials=trials)
 
 
 def _require_k(args) -> int:
@@ -172,12 +146,10 @@ def _cmd_sparsify(args) -> dict:
     g, labels, t_parse = _parse_timed(args)
     k = args.k if args.k is not None else 2
     delta = g.min_degree() if g.n else 0
-    section = args.overrides.get("kt")  # merged over the solver's alpha = k^2
-    params = None if section is None else _apply(KTParams(alpha=k * k), section, "kt")
     if not is_simple(g):
         raise ValueError("parallel edges: certificate is stated for simple graphs")
     t0 = time.perf_counter()
-    lam, ni, kt = sparsify_for_k(g, k, params)
+    lam, ni, kt = sparsify_for_k(g, k)
     t_run = time.perf_counter() - t0
     stats = {
         "delta": delta,
@@ -304,7 +276,6 @@ def run_cli(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        args.overrides = _overrides(args)
         report = _COMMANDS[command](args)
     except ParseError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -20,14 +20,13 @@ partition and cut edges are built once, from the top cell's blocks.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import BudgetExceeded, Infeasible
+from .errors import Infeasible
 from .graph import (
     ContractionMap,
     KCutSolution,
@@ -44,14 +43,14 @@ from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing, is_tight
 from .sparsify import KTParams, KTResult, kt_sparsify, ni_sparsify
 from .tree import RootedTree
-from .treecut import TrialConfig, tree_cut
+from .treecut import TrialConfig, derived_seed, tree_cut
 
-MODES = ("auto", "treecut_only", "oracle_only")
+MODES = ("auto", "treecut_only")
 KT_CONSTANT = 4.0  # scales the minimum-degree gate in front of the sparsifier
 PACK_CONSTANT = 3.0  # scales the number of packed trees
 PACK_CAP = 64  # most trees packed per tree stage
 TREECUT_MAX_N = 32  # largest graph the tree stage attempts
-ORACLE_MAX_N = 10  # largest graph the brute-force oracle checks or solves
+ORACLE_MAX_N = 10  # largest graph the brute-force oracle checks
 
 Cell = Tuple[int, Tuple[Tuple[int, ...], ...], str]  # a cell's (value, blocks, provenance)
 
@@ -66,11 +65,11 @@ class SolverConfig:
     is over TREECUT_MAX_N.  Beyond that size only branching runs, which
     keeps results sound but may miss optima without small blocks.
 
-    mode "auto" runs singleton branching and the tree stage, then checks
-    graphs of at most ORACLE_MAX_N vertices against the brute-force
-    oracle.  "treecut_only" skips only that check: singleton branching
-    still runs and may supply the answer.  "oracle_only" runs the oracle
-    alone.
+    mode is one of two: "auto" runs singleton branching and the tree
+    stage, then checks graphs of at most ORACLE_MAX_N vertices against
+    the brute-force oracle.  "treecut_only" skips only that check:
+    singleton branching still runs and may supply the answer.  The
+    oracle alone is `brute_min_kcut`.
     """
 
     trial: TrialConfig = TrialConfig()
@@ -109,12 +108,6 @@ def _ni_keeps_every_edge(g: MultiGraph, lam: int) -> bool:
     the first min(deg u, deg v) forests.
     """
     return all(min(g.degree(u), g.degree(v)) <= lam for u, v in g.pairs)
-
-
-def _tree_seed(base: int, ids) -> int:
-    digest = hashlib.blake2b(repr((base, tuple(sorted(ids)))).encode(),
-                             digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class _Context:
@@ -236,8 +229,6 @@ def _solve_connected(ctx, alive, order, k: int) -> Cell:
     for d, v in by_degree:
         if best is not None and d >= best[0]:
             break
-        if k - 1 > n - 1:
-            break
         value, blocks, _ = _solve(ctx, alive - {v}, k - 1)
         if best is None or value + d < best[0]:
             best = (value + d, blocks + ((v,),), "branch")
@@ -255,17 +246,16 @@ def _sparsify_gate(n: int, delta: int, k: int) -> bool:
     return delta > KT_CONSTANT * max(k * k * math.log(max(n, 2)), k ** 3)
 
 
-def sparsify_for_k(g: MultiGraph, k: int,
-                   kt: Optional[KTParams] = None) -> Tuple[int, MultiGraph, KTResult]:
+def sparsify_for_k(g: MultiGraph, k: int) -> Tuple[int, MultiGraph, KTResult]:
     """The sparsifier the tree DP sees for a k-cut of g, which must be simple.
 
     NI keeps max(k^2 delta, 1) forests, unless they would keep every edge;
-    KT then contracts with kt, by default alpha = k^2.  Returns the forest
-    count, NI's subgraph and KT's result.
+    KT then contracts with alpha = k^2.  Returns the forest count, NI's
+    subgraph and KT's result.
     """
     forests = max(nontrivial_bound(g, k), 1)
     ni = g if _ni_keeps_every_edge(g, forests) else ni_sparsify(g, forests).subgraph
-    return forests, ni, kt_sparsify(ni, kt or KTParams(alpha=k * k))
+    return forests, ni, kt_sparsify(ni, KTParams(alpha=k * k))
 
 
 def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[ContractionMap]]:
@@ -306,7 +296,7 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
         seen.add(ids)
         if at_top and kt_map is None:
             ctx.stats["packed_trees"].append(tuple(sorted(ids)))
-        trial = replace(cfg.trial, seed=_tree_seed(cfg.trial.seed, ids))
+        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(ids))))
         sol = tree_cut(stage, t, lam, k, trial, checked)
         ctx.stats["trees_evaluated"] += 1
         part_local = sol.partition
@@ -344,12 +334,6 @@ def solve_with_stats(
     stats = _fresh_stats(config)
     if g.n < 1 or k < 1 or k > g.n:
         raise Infeasible("cannot cut %d vertices into %d parts" % (g.n, k))
-    if config.mode == "oracle_only":
-        if g.n > ORACLE_MAX_N:
-            raise BudgetExceeded("oracle mode capped at %d vertices" % ORACLE_MAX_N)
-        sol = brute_min_kcut(g, k)
-        stats["oracle_value"] = sol.value
-        return sol, stats
     ctx = _Context(g, config, stats)
     value, blocks, provenance = _solve(ctx, frozenset(g.vertices), k)
     partition = Partition(blocks)
@@ -370,6 +354,6 @@ def solve_with_stats(
 
 
 def min_kcut(g: MultiGraph, k: int, config: Optional[SolverConfig] = None) -> KCutSolution:
-    """Minimum k-cut of g; see SolverConfig for mode and budget switches."""
+    """Minimum k-cut of g; see SolverConfig for the trial settings and mode."""
     sol, _ = solve_with_stats(g, k, config)
     return sol

@@ -87,10 +87,15 @@ class TrialConfig:
         return max(1, min(want, cap))
 
 
+def derived_seed(seed: int, *key) -> int:
+    """A seed for (seed, key), independent of interpreter hash randomization."""
+    digest = hashlib.blake2b(repr((seed,) + key).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
+
+
 def derived_rng(seed: int, *key) -> random.Random:
     """Seeded stream independent of interpreter hash randomization."""
-    digest = hashlib.blake2b(repr((seed,) + key).encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return random.Random(derived_seed(seed, *key))
 
 
 @dataclass(frozen=True)

@@ -232,21 +232,6 @@ class TestCli:
         path = write(tmp_path, "big.txt", serialize_graph(g))
         assert run_cli(["oracle", "--k", "2", path]) == 1
 
-    def test_bad_config_exit_code(self, tmp_path, capsys):
-        path = write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\n")
-        assert run_cli(["solve", "--k", "2", "--config", "{nope", path]) == 1
-        assert run_cli(["solve", "--k", "2", "--config",
-                        '{"solver": {"bogus_field": 3}}', path]) == 1
-        # the solver section is gone: --mode sets the mode, the trial
-        # section the trials, and a solver section is refused, not ignored
-        capsys.readouterr()
-        assert run_cli(["solve", "--k", "2", "--mode", "treecut_only", "--config",
-                        '{"solver": {"mode": "auto"}}', path]) == 1
-        assert "unknown --config sections" in capsys.readouterr().err
-        assert run_cli(["solve", "--k", "2", "--config",
-                        '{"solver": {"trial": {"trials": 3}}}', path]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
     def test_flags_win_over_config_trial_section(self, tmp_path, capsys, monkeypatch):
         import kcut.cli
         ran = []
@@ -258,41 +243,25 @@ class TestCli:
 
         monkeypatch.setattr(kcut.cli, "solve_with_stats", spy)
         path = write(tmp_path, "bridge.txt", bridge_text())
-        section = '{"trial": {"trials": 64, "seed": 3}}'
-        code, report = run_json(capsys, ["solve", "--k", "2", "--trials", "5",
-                                         "--config", section, path])
+        code, report = run_json(capsys, ["solve", "--k", "2", "--trials", "5", path])
         assert code == 0
-        assert (ran[-1].trials, ran[-1].seed) == (5, 3)  # no --seed: the file's seed runs
+        assert (ran[-1].trials, ran[-1].seed) == (5, 0)
         assert report["stats"]["trials"] == 5
-        assert report["instance"]["seed"] == 3
-        code, report = run_json(capsys, ["solve", "--k", "2", "--seed", "9", "--exhaustive",
-                                         "--config", section, path])
+        assert report["instance"]["seed"] == 0
+        code, report = run_json(capsys, ["solve", "--k", "2", "--seed", "9", "--exhaustive", path])
         assert code == 0
         assert (ran[-1].trials, ran[-1].seed) == ("exhaustive", 9)
         assert report["stats"]["trials"] == "exhaustive"
         assert report["instance"]["seed"] == 9
-        code, report = run_json(capsys, ["treecut", "--k", "2", "--config", section, path])
-        assert code == 0
-        assert report["stats"]["trials"] == 64
-        assert report["instance"]["seed"] == 3
 
     def test_bad_trial_count_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "bridge.txt", bridge_text())
-        sections = ['{"trial": {"trials": %s}}' % bad
-                    for bad in ('"many"', "0", "-3", "2.5", "true", "null")]
-        # fields TrialConfig no longer has
-        sections += ['{"trial": {"%s": %s}}' % field
-                     for field in (("rank_preprocess", "true"), ("r_cap", "2"),
-                                   ("exhaustive_eprime_cap", "20"),
-                                   ("exhaustive_branch_cap", "16"),
-                                   ("sweep_max_edges", "12"))]
-        for section in sections:
+        for bad in ("0", "-3"):
             for command in ("solve", "treecut"):
-                assert run_cli([command, "--k", "2", "--config", section, path]) == 1
-                assert "bad trial override" in capsys.readouterr().err
-        assert run_cli(["solve", "--k", "2", "--trials", "0", path]) == 1
-        code, _ = run_json(capsys, ["solve", "--k", "2", "--config",
-                                    '{"trial": {"trials": 1}}', path])
+                assert run_cli([command, "--k", "2", "--trials", bad, path]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: trials must be a positive integer")
+        code, _ = run_json(capsys, ["solve", "--k", "2", "--trials", "1", path])
         assert code == 0
 
     def test_empty_input_exit_code(self, tmp_path, capsys):
@@ -304,6 +273,14 @@ class TestCli:
     def test_unknown_flag_exit_code(self, tmp_path, capsys):
         path = write(tmp_path, "tri.txt", "0 1\n")
         assert run_cli(["solve", "--k", "2", "--wat", path]) == 1
+        assert run_cli(["solve", "--k", "2", "--config", "{}", path]) == 1
+        # each command takes only the flags it reads
+        for argv in (["treecut", "--k", "2", "--mode", "treecut_only", path],
+                     ["oracle", "--k", "2", "--trials", "5", "--exhaustive", path],
+                     ["sparsify", "--k", "2", "--exhaustive", path],
+                     ["treepack", "--k", "2", "--exhaustive", path],
+                     ["gen", "random", "--n", "5", "--m", "3", "--mode", "treecut_only"]):
+            assert run_cli(argv) == 1, argv
 
     def test_missing_k(self, tmp_path, capsys):
         path = write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\n")
@@ -327,10 +304,6 @@ class TestCli:
         path = write(tmp_path, "tri2.txt", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
         code, report = run_json(capsys, ["treepack", "--k", "2", path])
         assert code == 0 and report["stats"]["count"] == 44  # ceil(3 * 8 * ln 6)
-        # the tree count's constants are fixed in kcut.solver
-        for section in ('{"solver": {"pack_cap": 2}}', '{"solver": {"pack_constant": 0.1}}'):
-            assert run_cli(["treepack", "--k", "2", "--config", section, path]) == 1
-            assert "unknown --config sections" in capsys.readouterr().err
 
     def test_treecut_cycle(self, tmp_path, capsys):
         path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))
@@ -370,22 +343,6 @@ class TestCli:
         assert code == 0 and report["stats"]["lambda"] == 1  # max(k^2 * 0, 1)
         assert run_cli(["sparsify", "--k", "0", path]) == 1
         assert "k must be positive" in capsys.readouterr().err
-
-    def test_kt_overrides(self, tmp_path, capsys):
-        path = write(tmp_path, "k8.txt", serialize_graph(complete_graph(8)))
-        # fields KTParams no longer has
-        for field, value in (("trim_fraction", "0.4"), ("loose_fraction", "0.5"),
-                             ("scrap_fraction", "0.25"), ("stop_fraction", "0.05"),
-                             ("conductance_mode", '"spectral"'), ("exact_cap", "20"),
-                             ("spectral_c", "1.0")):
-            section = '{"kt": {"%s": %s}}' % (field, value)
-            assert run_cli(["sparsify", "--k", "2", "--config", section, path]) == 1
-            assert "bad kt override" in capsys.readouterr().err
-        section = '{"kt": {"alpha": 2, "gamma": 0.05, "passive_threshold": 0}}'
-        code, report = run_json(capsys, ["sparsify", "--k", "2", "--config", section, path])
-        assert code == 0
-        assert [it["gamma"] for it in report["stats"]["kt_iterations"]] == ["0.05"]
-        assert report["stats"]["contracted_n"] == 1
 
     def test_bench_deterministic(self, capsys):
         argv = ["bench", "--k", "2", "--n", "8", "--count", "2", "--no-timing"]

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kcut.errors import BudgetExceeded, Infeasible
+from kcut.errors import Infeasible
 from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph
 from kcut.oracles import OracleBudget, brute_min_kcut
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats, tree_count
@@ -96,14 +96,10 @@ class TestValidation:
         with pytest.raises(Infeasible):
             min_kcut(g, 4)
 
-    def test_oracle_mode_budget(self):
-        g = random_connected_graph(random.Random(0), 12, 4)
-        with pytest.raises(BudgetExceeded):
-            min_kcut(g, 2, SolverConfig(mode="oracle_only"))
-
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(mode="fast")
+        for mode in ("fast", "oracle_only"):
+            with pytest.raises(ValueError):
+                SolverConfig(mode=mode)
 
     def test_tree_count_rejects_nonpositive_k(self):
         assert tree_count(2, 6) == 44  # ceil(3 * 8 * ln 6)
@@ -132,12 +128,6 @@ class TestDisconnected:
 
 
 class TestModes:
-    def test_oracle_mode_matches_brute(self):
-        rng = random.Random(3)
-        g = random_connected_graph(rng, 7, 5)
-        sol = min_kcut(g, 3, SolverConfig(mode="oracle_only"))
-        assert sol.value == brute_min_kcut(g, 3).value
-
     def test_treecut_only_skips_oracle(self):
         g = two_k4_bridge()
         sol, stats = solve_with_stats(g, 2, SolverConfig(mode="treecut_only"))
