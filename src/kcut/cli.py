@@ -34,10 +34,12 @@ class ConfigError(ValueError):
 
 def _build_parsers() -> dict:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="edgelist")
     common.add_argument("--k", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
     common.add_argument("--no-timing", action="store_true")
+    fmt = argparse.ArgumentParser(add_help=False)  # commands that parse a graph
+    fmt.add_argument("--format", choices=FORMATS, default="edgelist")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None)
     trial = argparse.ArgumentParser(add_help=False)
     trial.add_argument("--trials", type=int, default=None)
     trial.add_argument("--exhaustive", action="store_true")
@@ -45,11 +47,11 @@ def _build_parsers() -> dict:
     mode.add_argument("--mode", choices=MODES, default="auto")
 
     parents = {
-        "solve": [common, trial, mode],
-        "oracle": [common],
-        "sparsify": [common],
-        "treepack": [common],
-        "treecut": [common, trial],
+        "solve": [common, fmt, seed, trial, mode],
+        "oracle": [common, fmt],
+        "sparsify": [common, fmt],
+        "treepack": [common, fmt],
+        "treecut": [common, fmt, seed, trial],
     }
     parsers = {}
     for name, shared in parents.items():
@@ -58,7 +60,7 @@ def _build_parsers() -> dict:
         parsers[name] = p
     # treepack's own --trials is its tree count
     parsers["treepack"].add_argument("--trials", type=int, default=None)
-    p = argparse.ArgumentParser(prog="kcut gen", parents=[common])
+    p = argparse.ArgumentParser(prog="kcut gen", parents=[common, fmt, seed])
     p.add_argument("kind", choices=("clique-reduction", "random"))
     p.add_argument("path", nargs="?", default="-")
     p.add_argument("--n", type=int, default=None)
@@ -66,7 +68,7 @@ def _build_parsers() -> dict:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--multi", action="store_true")
     parsers["gen"] = p
-    p = argparse.ArgumentParser(prog="kcut bench", parents=[common, trial, mode])
+    p = argparse.ArgumentParser(prog="kcut bench", parents=[common, seed, trial, mode])
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--count", type=int, default=5)
@@ -136,7 +138,7 @@ def _cmd_oracle(args) -> dict:
     t0 = time.perf_counter()
     sol = brute_min_kcut(g, k)
     t_solve = time.perf_counter() - t0
-    return build_report("oracle", n=g.n, m=g.m, k=k, seed=_seed(args),
+    return build_report("oracle", n=g.n, m=g.m, k=k,
                         solution=solution_payload(g, labels, sol),
                         stats={"oracle_value": sol.value},
                         times=_times(args, parse=t_parse, solve=t_solve))
@@ -165,9 +167,8 @@ def _cmd_sparsify(args) -> dict:
         "contracted_m": kt.contracted.m,
     }
     extra = {"contracted_edgelist": serialize_graph(kt.contracted)}
-    return build_report("sparsify", n=g.n, m=g.m, k=k, seed=_seed(args),
-                        stats=stats, times=_times(args, parse=t_parse, run=t_run),
-                        extra=extra)
+    return build_report("sparsify", n=g.n, m=g.m, k=k, stats=stats,
+                        times=_times(args, parse=t_parse, run=t_run), extra=extra)
 
 
 def _cmd_treepack(args) -> dict:
@@ -185,8 +186,8 @@ def _cmd_treepack(args) -> dict:
         "max_load": max(pack.loads.values()) if pack.loads else 0,
         "trees": trees,
     }
-    return build_report("treepack", n=g.n, m=g.m, k=k, seed=_seed(args),
-                        stats=stats, times=_times(args, parse=t_parse, run=t_run))
+    return build_report("treepack", n=g.n, m=g.m, k=k, stats=stats,
+                        times=_times(args, parse=t_parse, run=t_run))
 
 
 def _cmd_treecut(args) -> dict:

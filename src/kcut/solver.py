@@ -122,9 +122,8 @@ class _Context:
         self.nbrs = [tuple(g.other(e, v) for e in g.incident(v)) for v in g.vertices]
         self.blocks = [sorted(b) for b in connected_components(g).blocks]
         self.components = {frozenset(b) for b in self.blocks}
-        self.component_of = {v: c for c in self.components for v in c}
-        # components whose own stage outgrew TREECUT_MAX_N: every cell
-        # below them stages itself, as its DP may still fit
+        # vertices of the components whose own stage outgrew TREECUT_MAX_N:
+        # every cell below them stages itself, as its DP may still fit
         self.oversized: set = set()
 
     def split(self, alive: FrozenSet[int], order: List[int]) -> List[List[int]]:
@@ -212,7 +211,7 @@ def _solve_connected(ctx, alive, order, k: int) -> Cell:
     by_degree = ctx.by_degree(alive, order)
     sub = staged = None
     whole = alive in ctx.components
-    if whole or ctx.component_of[order[0]] in ctx.oversized:
+    if whole or order[0] in ctx.oversized:
         # staged before branching, so the cells below see the mark; a cell
         # the DP cannot take (over the cap, gate off) builds no subgraph
         gate = _sparsify_gate(n, by_degree[0][0], k)
@@ -222,7 +221,7 @@ def _solve_connected(ctx, alive, order, k: int) -> Cell:
             staged = _stage(ctx, alive, sub, k, gate)
             stage_n = staged[0].n
         if whole and stage_n > TREECUT_MAX_N:
-            ctx.oversized.add(alive)
+            ctx.oversized |= alive
     best: Optional[Cell] = None
     # singleton branching, cheapest boundary first: any branch whose vertex
     # degree already matches the incumbent cannot improve on it

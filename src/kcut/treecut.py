@@ -4,11 +4,11 @@ Given a spanning tree, the k-cut problem restricted to tree-edge deletions
 is attacked bottom-up: for every subtree and every part count, a state
 records the cheapest way to split that subtree, certified by an explicit
 deletion set.  Randomized trials (edge coloring plus branch contraction)
-propose candidate deletions through an ancestor-cut estimator and a
-knapsack combiner; every proposal is re-scored against the real graph, so
-stored values are always achievable and never below the true optimum of
-the deletions they name.  Small subtrees skip the trial machinery and
-enumerate deletions outright.
+price candidate deletions through an ancestor-cut estimator, and a
+min-plus pick of one deletion budget per candidate combines them; every
+proposal is re-scored against the real graph, so stored values are always
+achievable and never below the true optimum of the deletions they name.
+Small subtrees skip the trial machinery and enumerate deletions outright.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -106,14 +105,8 @@ class Coloring:
     green: FrozenSet[int]
 
 
-def color_trial(eprime: Iterable[int], lam: int, rng: random.Random) -> Coloring:
-    """Each edge green with probability 1/lam (lam=1 turns everything green)."""
-    dom = frozenset(eprime)
-    return Coloring(dom, _draw_green(sorted(dom), lam, rng))
-
-
 def _draw_green(ordered: Sequence[int], lam: int, rng: random.Random) -> FrozenSet[int]:
-    """One draw per edge, in the given (ascending) order."""
+    """Each edge green with probability 1/lam, one draw per edge in the given order."""
     if lam < 1:
         raise ValueError("lam must be at least 1")
     return frozenset(e for e in ordered if rng.random() < 1.0 / lam)
@@ -134,12 +127,6 @@ def contract_branches(
     """Contract every edge of the chosen branches; the root survives."""
     picked = set(chosen)
     return tree_quotient(t, [eid for eid, bid in hld.branch_id.items() if bid in picked])
-
-
-def branch_patterns(hld: HLD, max_size: int) -> Iterator[Tuple[int, ...]]:
-    """Deterministic family of contraction subsets: nothing, then small sets."""
-    for size in range(min(max_size, hld.branch_count) + 1):
-        yield from itertools.combinations(range(hld.branch_count), size)
 
 
 @dataclass(frozen=True)
@@ -315,29 +302,9 @@ def build_gprime(setting: TrialSetting, u: CandidateSet) -> GPrime:
     return _classify(setting, [u])[0]
 
 
-class StateTable:
-    """(vertex, parts) -> cheapest split of that subtree, with its deletions.
-
-    Holds only the cells `fill_states` fills (see its docstring); `known`
-    tells whether a cell is present.
-    """
-
-    def __init__(self):
-        self._value: Dict[Tuple[int, int], float] = {}
-        self._cert: Dict[Tuple[int, int], Optional[FrozenSet[int]]] = {}
-
-    def set(self, x: int, parts: int, value, cert: Optional[FrozenSet[int]]):
-        self._value[(x, parts)] = value
-        self._cert[(x, parts)] = cert
-
-    def value(self, x: int, parts: int) -> float:
-        return self._value[(x, parts)]
-
-    def cert(self, x: int, parts: int) -> Optional[FrozenSet[int]]:
-        return self._cert[(x, parts)]
-
-    def known(self, x: int, parts: int) -> bool:
-        return (x, parts) in self._value
+# (vertex, parts) -> cheapest split of that subtree and its deletions;
+# only the cells `fill_states` fills (see its docstring) are present
+States = Dict[Tuple[int, int], Tuple[float, Optional[FrozenSet[int]]]]
 
 
 def _selection_pool(tp: RootedTree, member: int, minelts: Sequence[int]) -> List[int]:
@@ -386,7 +353,7 @@ def _member_table(
     member: int,
     u: CandidateSet,
     gp: GPrime,
-    states: Optional[StateTable],
+    states: Optional[States],
     rev: Optional[Sequence[int]],
     r_cap: int,
     max_budget: int,
@@ -442,9 +409,9 @@ def _member_table(
                 if states is not None:
                     orig = rev[setting.t.lower_end(e)]
                     for spend in range(2, max_budget - r + 2):
-                        if states.known(orig, spend) and states.value(orig, spend) < INF:
-                            opts.append((spend, states.value(orig, spend),
-                                         states.cert(orig, spend)))
+                        value, cert = states.get((orig, spend), (INF, None))
+                        if value < INF:
+                            opts.append((spend, value, cert))
                 options.append(opts)
             for spent, (val, cert) in _min_plus(options, max_budget).items():
                 full = cert | frozenset(top_edges)
@@ -459,7 +426,7 @@ def eval_f_budgets(
     target: int,
     gp: GPrime,
     setting: TrialSetting,
-    states: Optional[StateTable],
+    states: Optional[States],
     rev: Optional[Sequence[int]],
     r_cap: int,
 ) -> Priced:
@@ -488,7 +455,7 @@ def eval_f_p(
     p: int,
     gp: GPrime,
     setting: TrialSetting,
-    states: Optional[StateTable],
+    states: Optional[States],
     rev: Optional[Sequence[int]],
     r_cap: int,
 ) -> Tuple[float, FrozenSet[int]]:
@@ -505,35 +472,6 @@ def eval_f(
     never undershoots the true minimum ancestor cut.
     """
     return eval_f_p(u, len(u.members), gp, setting, None, None, 1)
-
-
-def knapsack_combine(
-    items: Sequence[Mapping[int, float]], target: int
-):
-    """Pick disjoint (candidate, budget) pairs whose budgets sum to target.
-
-    Returns (value, selection); value is infinity when no combination
-    fits.  Ties prefer the lexicographically smallest selection.
-    """
-    best: Dict[int, Tuple[float, Tuple[Tuple[int, int], ...]]] = {0: (0.0, ())}
-    for i, table in enumerate(items):
-        nxt = dict(best)
-        for spent, (val, sel) in best.items():
-            for b in sorted(table):
-                cost = table[b]
-                if cost == INF:
-                    continue
-                tot = spent + b
-                if tot > target:
-                    continue
-                cand = (val + cost, sel + ((i, b),))
-                cur = nxt.get(tot)
-                if cur is None or cand < cur:
-                    nxt[tot] = cand
-        best = nxt
-    if target not in best:
-        return INF, ()
-    return best[target]
 
 
 def _subtree_instance(g: MultiGraph, t: RootedTree, x: int):
@@ -593,11 +531,11 @@ def _cell_trials(
     parts: int,
     k: int,
     lam: int,
-    states: StateTable,
+    states: States,
     config: TrialConfig,
     node_key,
 ):
-    """Randomized or family-enumerated trials for one (subtree, parts) cell."""
+    """Best certified outcome of one (subtree, parts) cell's trials, else (INF, None)."""
     sub, local_t, hld, eprime = ctx.sub, ctx.local_t, ctx.hld, ctx.eprime
     target = parts - 1
     trials: List[Tuple[Coloring, Tuple[int, ...]]] = []
@@ -607,7 +545,8 @@ def _cell_trials(
             and hld.branch_count <= EXHAUSTIVE_BRANCH_CAP:
         greens = [frozenset(c) for size in range(1, target + 1)
                   for c in itertools.combinations(ctx.eprime_sorted, size)]
-        patterns = list(branch_patterns(hld, target))
+        patterns = [pat for size in range(min(target, hld.branch_count) + 1)
+                    for pat in itertools.combinations(range(hld.branch_count), size)]
         for green in greens:
             for pat in patterns:
                 trials.append((Coloring(eprime, green), pat))
@@ -623,7 +562,7 @@ def _cell_trials(
             trials.append((coloring, pat))
     if len(trials) > 20000:
         trials = trials[:20000]
-    best = None
+    best: Tuple[float, Optional[FrozenSet[int]]] = (INF, None)
     seen_settings = set()
     for coloring, pattern in trials:
         key = (coloring.green, pattern)
@@ -635,27 +574,27 @@ def _cell_trials(
             continue
         setting = TrialSetting(sub, local_t, tprime, tmap, coloring, eprime)
         candidates = group_components(tprime.children(tprime.root), coloring, setting)
-        priced = [eval_f_budgets(u, target, gp, setting, states, ctx.rev, k)
-                  for u, gp in zip(candidates, _classify(setting, candidates))]
-        value, sel = knapsack_combine(
-            [{b: val for b, (val, _) in table.items()} for table in priced], target)
-        if value == INF:
+        # one budget per candidate, or none: the skip option comes last
+        groups: List[List[Option]] = []
+        for u, gp in zip(candidates, _classify(setting, candidates)):
+            priced = eval_f_budgets(u, target, gp, setting, states, ctx.rev, k)
+            groups.append([(b,) + priced[b] for b in sorted(priced)] + [(0, 0.0, frozenset())])
+        hit = _min_plus(groups, target).get(target)
+        if hit is None:
             continue
-        cert: FrozenSet[int] = frozenset()
-        for i, b in sel:
-            cert |= priced[i][b][1]
+        cert = hit[1]
         if len(cert) != target:
             continue  # overlapping proposals cannot certify this cell
         true_value = _score_deletion(sub, local_t, cert)
-        if best is None or true_value < best[0]:
+        if true_value < best[0]:
             best = (true_value, cert)
     return best
 
 
 def fill_states(
     g: MultiGraph, t: RootedTree, k: int, lam: int, config: TrialConfig
-) -> StateTable:
-    """Bottom-up table of the cells a k-part answer at the root reads.
+) -> States:
+    """Bottom-up dict of the cells a k-part answer at the root reads.
 
     Fills (x, parts) for every vertex x and parts <= k-1, and (root, k);
     no other cell is set.  A cell with p parts reads only proper
@@ -664,19 +603,19 @@ def fill_states(
     sweep; larger cells hold the best certified trial outcome, so every
     finite value is the true cost of the deletions recorded for it.
     """
-    states = StateTable()
+    states: States = {}
     for x in reversed(t.order):
         top = k if x == t.root else k - 1
         size = t.subtree_size(x)
         edges_avail = size - 1
-        states.set(x, 0, 0, frozenset())
+        states[x, 0] = (0, frozenset())
         if top >= 1:
-            states.set(x, 1, 0, frozenset())
+            states[x, 1] = (0, frozenset())
         sub = local_t = rev = None
         ctx = None  # x's trial context, shared by its trial cells
         for parts in range(2, top + 1):
             if edges_avail < parts - 1:
-                states.set(x, parts, INF, None)
+                states[x, parts] = (INF, None)
                 continue
             if sub is None:
                 sub, local_t, rev = _subtree_instance(g, t, x)
@@ -685,12 +624,8 @@ def fill_states(
             else:
                 if ctx is None:
                     ctx = _SubtreeTrials(sub, local_t, rev)
-                hit = _cell_trials(ctx, parts, k, lam, states, config, x)
-                if hit is None:
-                    value, cert = INF, None
-                else:
-                    value, cert = hit
-            states.set(x, parts, value, cert)
+                value, cert = _cell_trials(ctx, parts, k, lam, states, config, x)
+            states[x, parts] = (value, cert)
     return states
 
 
@@ -782,7 +717,7 @@ def tree_cut(
     if work_t.n - 1 <= SWEEP_MAX_EDGES:  # fill_states would fill cells nobody reads
         cert = _sweep_cell(work_g, work_t, k)[1]
     else:
-        cert = fill_states(work_g, work_t, k, lam, config).cert(work_t.root, k)
+        cert = fill_states(work_g, work_t, k, lam, config)[work_t.root, k][1]
     if cert is None:
         raise Infeasible("no feasible deletion found")
     original = pull_back(forest_components(work_t, cert), cmap, g.n)

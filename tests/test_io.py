@@ -279,7 +279,11 @@ class TestCli:
                      ["oracle", "--k", "2", "--trials", "5", "--exhaustive", path],
                      ["sparsify", "--k", "2", "--exhaustive", path],
                      ["treepack", "--k", "2", "--exhaustive", path],
-                     ["gen", "random", "--n", "5", "--m", "3", "--mode", "treecut_only"]):
+                     ["gen", "random", "--n", "5", "--m", "3", "--mode", "treecut_only"],
+                     ["bench", "--n", "5", "--count", "1", "--format", "dimacs"],
+                     ["oracle", "--k", "2", "--seed", "3", path],
+                     ["sparsify", "--k", "2", "--seed", "3", path],
+                     ["treepack", "--k", "2", "--seed", "3", path]):
             assert run_cli(argv) == 1, argv
 
     def test_missing_k(self, tmp_path, capsys):

@@ -18,10 +18,11 @@ from kcut.treecut import (
     TrialConfig,
     TrialSetting,
     _classify,
+    _draw_green,
+    _min_plus,
     _score_deletion,
     all_colorings,
     build_gprime,
-    color_trial,
     contract_branches,
     contract_safe_edges,
     derived_rng,
@@ -32,7 +33,6 @@ from kcut.treecut import (
     fill_states,
     group_components,
     incomparable_edges,
-    knapsack_combine,
     tree_cut,
 )
 
@@ -207,16 +207,16 @@ class TestTrialConfig:
 
 class TestColoring:
     def test_lam_one_everything_green(self):
-        c = color_trial([3, 5, 9], 1, random.Random(0))
-        assert c.green == frozenset({3, 5, 9})
+        assert _draw_green([3, 5, 9], 1, random.Random(0)) == frozenset({3, 5, 9})
 
     def test_exhaustive_iterator_counts(self):
         seen = {c.green for c in all_colorings([1, 2, 3])}
         assert len(seen) == 8
 
     def test_seeded_draw_reproducible(self):
-        a = color_trial(range(30), 3, derived_rng(42, "x"))
-        b = color_trial(range(30), 3, derived_rng(42, "x"))
+        dom = frozenset(range(30))
+        a = Coloring(dom, _draw_green(range(30), 3, derived_rng(42, "x")))
+        b = Coloring(dom, _draw_green(range(30), 3, derived_rng(42, "x")))
         assert a == b
 
 
@@ -416,7 +416,7 @@ class TestClassifyReference:
         hld = build_hld(t)
         eprime = incomparable_edges(g, t, hld)
         for _ in range(8):
-            coloring = color_trial(eprime, rng.choice((1, 2, 3)), rng)
+            coloring = Coloring(eprime, _draw_green(sorted(eprime), rng.choice((1, 2, 3)), rng))
             pattern = tuple(b for b in range(hld.branch_count) if rng.random() < 0.3)
             tprime, tmap = contract_branches(t, hld, pattern)
             if tprime.n >= 2:
@@ -591,9 +591,8 @@ def reference_member_table(setting, member, u, gp, states, rev, r_cap, max_budge
                 if states is not None:
                     orig = rev[setting.t.lower_end(e)]
                     for spend in range(2, max_budget - r + 2):
-                        if states.known(orig, spend) and states.value(orig, spend) < INF:
-                            opts.append((spend, states.value(orig, spend),
-                                         states.cert(orig, spend)))
+                        if (orig, spend) in states and states[orig, spend][0] < INF:
+                            opts.append((spend,) + states[orig, spend])
                 options.append(opts)
             combo = {0: (0.0, frozenset())}
             for opts in options:
@@ -702,19 +701,52 @@ class TestEstimatorReference:
         assert splits > 50
 
 
+def combine(tables, target):
+    """Candidates' priced budgets combined the way `_cell_trials` feeds
+    `_min_plus`: ascending budgets, then the skip option."""
+    groups = [[(b, val, c) for b, (val, c) in sorted(table.items())] + [(0, 0.0, frozenset())]
+              for table in tables]
+    return _min_plus(groups, target).get(target)
+
+
 class TestKnapsack:
+    """`_min_plus` as the one combiner: one budget per candidate, or none."""
+
     def test_spec_arithmetic(self):
-        items = [{1: 2}, {1: 3, 2: 4}]
-        value, sel = knapsack_combine(items, 2)
-        assert value == 4
-        assert sel == ((1, 2),)
+        tables = [{1: (2, frozenset({1}))},
+                  {1: (3, frozenset({11})), 2: (4, frozenset({12}))}]
+        assert combine(tables, 2) == (4, frozenset({12}))
 
     def test_target_zero(self):
-        assert knapsack_combine([{1: 5}], 0) == (0, ())
+        assert combine([{1: (5, frozenset({1}))}], 0) == (0, frozenset())
 
-    def test_infeasible_returns_infinity(self):
-        value, sel = knapsack_combine([{1: 1}], 3)
-        assert value == INF and sel == ()
+    def test_infeasible_target_has_no_entry(self):
+        assert combine([{1: (1, frozenset({1}))}], 3) is None
+
+    def test_matches_brute_force(self):
+        rng = random.Random(1)
+        ties = 0
+        for _ in range(400):
+            tables = []
+            for _ in range(rng.randrange(1, 6)):
+                budgets = rng.sample(range(1, 5), rng.randrange(0, 5))
+                tables.append({b: (rng.randrange(0, 4), frozenset(rng.sample(range(30), b)))
+                               for b in budgets})
+            target = rng.randrange(0, 6)
+            options = [list(table.items()) + [(0, (0, frozenset()))] for table in tables]
+            fits = [sel for sel in itertools.product(*options)
+                    if sum(b for b, _ in sel) == target]
+            got = combine(tables, target)
+            if not fits:
+                assert got is None
+                continue
+            best = min(sum(val for _, (val, _) in sel) for sel in fits)
+            unions = {frozenset().union(*(c for _, (_, c) in sel))
+                      for sel in fits if sum(val for _, (val, _) in sel) == best}
+            assert got[0] == best
+            assert got[1] in unions
+            ties += len(unions) > 1
+        assert ties > 20
 
 
 class TestFillStates:
@@ -723,19 +755,19 @@ class TestFillStates:
         t = RootedTree.bfs_spanning(g)
         states = fill_states(g, t, 3, 2, EXH)
         leaf = 2
-        assert states.value(leaf, 0) == 0
-        assert states.value(leaf, 1) == 0
-        assert states.value(leaf, 2) == INF
+        assert states[leaf, 0][0] == 0
+        assert states[leaf, 1][0] == 0
+        assert states[leaf, 2][0] == INF
         # only the root carries a k-part cell
-        assert not states.known(leaf, 3)
-        assert states.known(t.root, 3)
+        assert (leaf, 3) not in states
+        assert (t.root, 3) in states
 
     def test_path_split_in_two(self):
         g = path_graph(3)
         t = RootedTree.bfs_spanning(g)
         states = fill_states(g, t, 2, 2, EXH)
-        assert states.value(t.root, 2) == 1
-        cert = states.cert(t.root, 2)
+        value, cert = states[t.root, 2]
+        assert value == 1
         assert len(cert) == 1 and cert <= t.edge_ids
 
     def test_infinity_pattern(self):
@@ -748,12 +780,12 @@ class TestFillStates:
             for x in t.order:
                 edges = t.subtree_size(x) - 1
                 if x != t.root:
-                    assert not states.known(x, k)
+                    assert (x, k) not in states
                 for parts in range(2, k + 1 if x == t.root else k):
                     if edges < parts - 1:
-                        assert states.value(x, parts) == INF
+                        assert states[x, parts][0] == INF
                     else:
-                        assert states.value(x, parts) < INF
+                        assert states[x, parts][0] < INF
 
     def test_root_cell_matches_tree_oracle(self):
         rng = random.Random(17)
@@ -764,7 +796,7 @@ class TestFillStates:
             if k - 1 > g.n - 1:
                 continue
             states = fill_states(g, t, k, 8, EXH)
-            assert states.value(t.root, k) == brute_tree_kcut(g, t, k).value
+            assert states[t.root, k][0] == brute_tree_kcut(g, t, k).value
 
 
 class TestScoreDeletion:
@@ -933,7 +965,7 @@ class TestTreeCut:
         # nothing is safe to contract here, so these are the cells tree_cut filled
         assert contract_safe_edges(g, t, lam)[0].n == n
         states = fill_states(g, t, 5, lam, cfg)
-        assert any(states.value(x, 4) < INF for x in t.order if x != t.root)
+        assert any(states[x, 4][0] < INF for x in t.order if x != t.root)
 
     def test_deterministic_per_seed(self, monkeypatch):
         monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
