@@ -32,10 +32,14 @@ class ConfigError(ValueError):
     """Missing or bad flag for the command."""
 
 
+GEN_KINDS = ("clique-reduction", "random")
+
+
 def _build_parsers() -> dict:
-    common = argparse.ArgumentParser(add_help=False)
+    timing = argparse.ArgumentParser(add_help=False)
+    timing.add_argument("--no-timing", action="store_true")
+    common = argparse.ArgumentParser(add_help=False, parents=[timing])
     common.add_argument("--k", type=int, default=None)
-    common.add_argument("--no-timing", action="store_true")
     fmt = argparse.ArgumentParser(add_help=False)  # commands that parse a graph
     fmt.add_argument("--format", choices=FORMATS, default="edgelist")
     seed = argparse.ArgumentParser(add_help=False)
@@ -60,14 +64,18 @@ def _build_parsers() -> dict:
         parsers[name] = p
     # treepack's own --trials is its tree count
     parsers["treepack"].add_argument("--trials", type=int, default=None)
-    p = argparse.ArgumentParser(prog="kcut gen", parents=[common, fmt, seed])
-    p.add_argument("kind", choices=("clique-reduction", "random"))
-    p.add_argument("path", nargs="?", default="-")
+    # one parser per gen kind, named "gen <kind>"
+    p = argparse.ArgumentParser(prog="kcut gen random", parents=[timing, seed])
+    p.set_defaults(kind="random")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--multi", action="store_true")
-    parsers["gen"] = p
+    parsers["gen random"] = p
+    p = argparse.ArgumentParser(prog="kcut gen clique-reduction", parents=[common, fmt])
+    p.set_defaults(kind="clique-reduction")
+    p.add_argument("path", nargs="?", default="-")
+    parsers["gen clique-reduction"] = p
     p = argparse.ArgumentParser(prog="kcut bench", parents=[common, seed, trial, mode])
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--p", type=float, default=0.5)
@@ -223,7 +231,7 @@ def _cmd_gen(args) -> dict:
     t_run = time.perf_counter() - t0
     extra = {"kind": "clique-reduction", "edgelist": serialize_graph(h),
              "expected_value": expected}
-    return build_report("gen", n=h.n, m=h.m, k=k, seed=_seed(args), extra=extra,
+    return build_report("gen", n=h.n, m=h.m, k=k, extra=extra,
                         times=_times(args, parse=t_parse, run=t_run))
 
 
@@ -272,8 +280,16 @@ def run_cli(argv=None) -> int:
     if command not in _COMMANDS:
         print("error: unknown command %r" % command, file=sys.stderr)
         return 1
+    name = command
+    if command == "gen":
+        if not rest or rest[0] not in GEN_KINDS:
+            asked = rest[:1] in (["-h"], ["--help"])
+            print("usage: kcut gen {%s} [options]" % ",".join(GEN_KINDS),
+                  file=sys.stdout if asked else sys.stderr)
+            return 0 if asked else 1
+        name, rest = "gen " + rest[0], rest[1:]
     try:
-        args = _build_parsers()[command].parse_intermixed_args(rest)
+        args = _build_parsers()[name].parse_intermixed_args(rest)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -156,7 +156,7 @@ def cut_value(g: MultiGraph, partition: Partition) -> int:
 def cut_edge_set(g: MultiGraph, partition: Partition) -> FrozenSet[int]:
     """Edge ids crossing the partition."""
     idx = partition.block_index()
-    return frozenset(e for e in g.edge_ids if idx[g.endpoints(e)[0]] != idx[g.endpoints(e)[1]])
+    return frozenset(e for e, (u, v) in g._ends.items() if idx[u] != idx[v])
 
 
 def boundary(g: MultiGraph, sets: Iterable[Iterable[int]]) -> FrozenSet[int]:

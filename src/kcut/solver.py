@@ -298,10 +298,11 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
         trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(ids))))
         sol = tree_cut(stage, t, lam, k, trial, checked)
         ctx.stats["trees_evaluated"] += 1
-        part_local = sol.partition
+        # tree_cut scored the cut on stage, which is sub unless KT contracted it
+        part_local, value = sol.partition, sol.value
         if kt_map is not None:
             part_local = pull_back(part_local, kt_map, sub.n)
-        value = cut_value(sub, part_local)
+            value = cut_value(sub, part_local)
         if best is None or value < best[0]:
             best = (value, part_local)
     if best is None:

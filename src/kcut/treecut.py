@@ -8,7 +8,10 @@ price candidate deletions through an ancestor-cut estimator, and a
 min-plus pick of one deletion budget per candidate combines them; every
 proposal is re-scored against the real graph, so stored values are always
 achievable and never below the true optimum of the deletions they name.
-Small subtrees skip the trial machinery and enumerate deletions outright.
+A cell with at most SWEEP_MAX_SUBSETS deletion sets skips the trial
+machinery and enumerates them outright, scoring each set against bitmasks
+of the tree paths the graph's edges span; `tree_cut` does so at the root
+whenever the whole contracted tree qualifies, without filling any state.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -37,7 +42,6 @@ from .graph import (
     MultiGraph,
     Partition,
     cut_edge_set,
-    cut_value,
     induced_subgraph,
     min_st_cut,
     pull_back,
@@ -59,12 +63,18 @@ ROOT = -1  # stand-in endpoint for "kept with the root side" in the cut graph
 # E' and the branch count stay this small; larger subtrees sample instead
 EXHAUSTIVE_EPRIME_CAP = 20
 EXHAUSTIVE_BRANCH_CAP = 16
-SWEEP_MAX_EDGES = 12  # subtrees this small enumerate deletions exactly
+# a cell with at most this many deletion sets enumerates them exactly;
+# C(12, 6), so every cell of a tree with at most 12 edges is swept
+SWEEP_MAX_SUBSETS = 924
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Seed and count of the randomized trials run above SWEEP_MAX_EDGES."""
+    """Seed and count of the randomized trials.
+
+    Trials run only in cells with more than SWEEP_MAX_SUBSETS deletion
+    sets; smaller cells are swept.
+    """
 
     seed: int = 0
     trials: Union[int, str] = 16  # an integer, or "exhaustive"
@@ -492,15 +502,32 @@ def _score_deletion(sub: MultiGraph, local_t: RootedTree, ids: Iterable[int]) ->
     return sum(1 for u, v in sub.pairs if labels[u] != labels[v])
 
 
-def _sweep_cell(sub: MultiGraph, local_t: RootedTree, parts: int):
-    """Exact: try every deletion of parts-1 tree edges."""
+def _deletion_scores(
+    sub: MultiGraph, local_t: RootedTree, parts: int
+) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Exact cost of every deletion of parts-1 tree edges, in combinations order.
+
+    Tree edge i (by ascending id) owns bit i and up[v] holds the bits of
+    v's root path, so a graph edge (u, v) is cut exactly when its tree path
+    up[u] ^ up[v] meets the deletion's bits.  Equal paths are counted once.
+    """
     ids = sorted(local_t.edge_ids)
-    best = None
+    bit = {e: 1 << i for i, e in enumerate(ids)}
+    up = [0] * local_t.n
+    for v in local_t.order:
+        e = local_t.parent_edge(v)
+        if e is not None:
+            up[v] = up[local_t.parent(v)] | bit[e]
+    counted = list(Counter(up[u] ^ up[v] for u, v in sub.pairs).items())
     for combo in itertools.combinations(ids, parts - 1):
-        value = _score_deletion(sub, local_t, combo)
-        if best is None or value < best[0]:
-            best = (value, frozenset(combo))
-    return best
+        mask = sum(bit[e] for e in combo)
+        yield sum(c for path, c in counted if path & mask), combo
+
+
+def _sweep_cell(sub: MultiGraph, local_t: RootedTree, parts: int):
+    """Exact: the first cheapest deletion of parts-1 tree edges, as (value, edge ids)."""
+    value, combo = min(_deletion_scores(sub, local_t, parts), key=itemgetter(0))
+    return value, frozenset(combo)
 
 
 class _SubtreeTrials:
@@ -599,9 +626,10 @@ def fill_states(
     Fills (x, parts) for every vertex x and parts <= k-1, and (root, k);
     no other cell is set.  A cell with p parts reads only proper
     descendants' cells with at most p-1 parts, so nothing it needs is
-    skipped.  Cells are exact whenever the subtree is small enough to
-    sweep; larger cells hold the best certified trial outcome, so every
-    finite value is the true cost of the deletions recorded for it.
+    skipped.  A cell whose subtree has at most SWEEP_MAX_SUBSETS sets of
+    parts-1 edges is swept and exact; a larger cell holds the best
+    certified trial outcome, so every finite value is the true cost of the
+    deletions recorded for it.
     """
     states: States = {}
     for x in reversed(t.order):
@@ -619,7 +647,7 @@ def fill_states(
                 continue
             if sub is None:
                 sub, local_t, rev = _subtree_instance(g, t, x)
-            if edges_avail <= SWEEP_MAX_EDGES:
+            if math.comb(edges_avail, parts - 1) <= SWEEP_MAX_SUBSETS:
                 value, cert = _sweep_cell(sub, local_t, parts)
             else:
                 if ctx is None:
@@ -698,8 +726,9 @@ def tree_cut(
     Always returns a feasible cut whose value is re-scored from its
     deletion set; when the tree is tight for some minimum k-cut of value
     at most lam, exhaustive trials recover that minimum exactly.  A
-    contracted tree with at most SWEEP_MAX_EDGES edges is swept at the
-    root alone.  `checked` is passed on to `contract_safe_edges`.
+    contracted tree with at most SWEEP_MAX_SUBSETS sets of k-1 edges is
+    swept at the root alone, scoring sets by root-path bitmasks.
+    `checked` is passed on to `contract_safe_edges`.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -714,13 +743,14 @@ def tree_cut(
         # the uncontracted tree, where feasibility is guaranteed
         work_g, work_t = g, t
         cmap = ContractionMap.identity(g.n)
-    if work_t.n - 1 <= SWEEP_MAX_EDGES:  # fill_states would fill cells nobody reads
+    # only the root's cell is read, so a sweepable one needs no state table
+    if math.comb(work_t.n - 1, k - 1) <= SWEEP_MAX_SUBSETS:
         cert = _sweep_cell(work_g, work_t, k)[1]
     else:
         cert = fill_states(work_g, work_t, k, lam, config)[work_t.root, k][1]
     if cert is None:
         raise Infeasible("no feasible deletion found")
     original = pull_back(forest_components(work_t, cert), cmap, g.n)
-    value = cut_value(g, original)
-    return KCutSolution(value, original, cut_edge_set(g, original), "treecut")
+    cut = cut_edge_set(g, original)
+    return KCutSolution(len(cut), original, cut, "treecut")
 

@@ -280,6 +280,9 @@ class TestCli:
                      ["sparsify", "--k", "2", "--exhaustive", path],
                      ["treepack", "--k", "2", "--exhaustive", path],
                      ["gen", "random", "--n", "5", "--m", "3", "--mode", "treecut_only"],
+                     ["gen", "random", "--n", "5", "--m", "3", "--k", "3"],
+                     ["gen", "random", "--n", "5", "--m", "3", "--format", "dimacs"],
+                     ["gen", "clique-reduction", "--k", "3", "--seed", "3", path],
                      ["bench", "--n", "5", "--count", "1", "--format", "dimacs"],
                      ["oracle", "--k", "2", "--seed", "3", path],
                      ["sparsify", "--k", "2", "--seed", "3", path],

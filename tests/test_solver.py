@@ -221,13 +221,14 @@ class TestDeterminism:
 
 
 class TestPinnedTrialCells:
-    """Answers and counters of two default solves, one with tree-stage trial cells.
+    """Answers and counters of two default solves, and of the chain with trial cells.
 
     Captured while the tree DP still filled a k-part cell at every vertex;
     work the tree stage skips must not change them.  The tree stage runs
-    once, in the top cell, with lambda = the branching incumbent: 20 trees
-    on the chain, which runs trial cells, and none on gnm, where lambda = 2
-    contracts every packed tree below the sweep size.
+    once, in the top cell, with lambda = the branching incumbent.  The
+    chain's 20 trees are swept at the root unless SWEEP_MAX_SUBSETS is 0;
+    gnm never runs trial cells, as lambda = 2 contracts every packed tree
+    below the sweep size.
     """
 
     @staticmethod
@@ -261,16 +262,19 @@ class TestPinnedTrialCells:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(treecut, "_cell_trials", counted)
-        sol, stats = solve_with_stats(g, k)
-        if name == "chain":
-            assert trial_cells  # the pin covers the randomized trials, not just the sweep
-        else:
-            assert trial_cells == []
-        assert sol.value == value
-        assert sorted(sorted(b) for b in sol.partition.blocks) == blocks
-        assert sol.provenance == provenance
-        assert stats["cells"] == cells
-        assert stats["trees_evaluated"] == trees
+        # every tree stage here is swept; the chain runs again with sweeping
+        # off, so the pin also covers the randomized trials
+        for sweep in ((True, False) if name == "chain" else (True,)):
+            if not sweep:
+                monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
+            trial_cells.clear()
+            sol, stats = solve_with_stats(g, k)
+            assert bool(trial_cells) != sweep
+            assert sol.value == value
+            assert sorted(sorted(b) for b in sol.partition.blocks) == blocks
+            assert sol.provenance == provenance
+            assert stats["cells"] == cells
+            assert stats["trees_evaluated"] == trees
 
     def test_tree_stage_runs_only_on_whole_components(self, monkeypatch):
         one = self.chained_cliques((5, 5, 4), 2)

@@ -18,6 +18,7 @@ from kcut.treecut import (
     TrialConfig,
     TrialSetting,
     _classify,
+    _deletion_scores,
     _draw_green,
     _min_plus,
     _score_deletion,
@@ -30,6 +31,7 @@ from kcut.treecut import (
     eval_f_budgets,
     eval_f_p,
     _st_cut_exceeds,
+    _sweep_cell,
     fill_states,
     group_components,
     incomparable_edges,
@@ -822,6 +824,32 @@ class TestScoreDeletion:
                     assert want == sum(1 for u, v in g.pairs if blocks[u] != blocks[v])
                     assert _score_deletion(g, t, combo) == want
 
+    def test_bitmask_sweep_matches_label_scoring(self):
+        # every deletion set's path-mask score is its label score, and the
+        # sweep keeps the first cheapest set in combinations order
+        rng = random.Random(59)
+        ties = 0
+        for _ in range(40):
+            n = rng.randrange(2, 13)
+            pairs = [(i, i + 1) for i in range(n - 1)]
+            extra = random_multigraph(rng, n, rng.randrange(0, 2 * n))
+            g = from_pairs(n, pairs + [extra.endpoints(e) for e in extra.edge_ids])
+            t = RootedTree.from_edge_ids(g, random_spanning_tree(rng, g).edge_ids,
+                                         root=rng.randrange(n))
+            for parts in range(2, min(4, n) + 1):
+                combos = list(itertools.combinations(sorted(t.edge_ids), parts - 1))
+                scores = list(_deletion_scores(g, t, parts))
+                assert [c for _, c in scores] == combos
+                best = None
+                for (value, _), combo in zip(scores, combos):
+                    want = _score_deletion(g, t, combo)
+                    assert value == want
+                    if best is None or want < best[0]:
+                        best = (want, frozenset(combo))
+                assert _sweep_cell(g, t, parts) == best
+                ties += sum(v == best[0] for v, _ in scores) > 1
+        assert ties > 20
+
     def test_labels_name_component_tops(self):
         g = path_graph(4)  # ids 0:(0,1) 1:(1,2) 2:(2,3)
         t = RootedTree.from_edge_ids(g, g.edge_ids, root=2)
@@ -881,8 +909,8 @@ class TestTreeCut:
             assert sol.value == tree_best  # sweep regime is exact
 
     def test_small_contracted_tree_is_swept_at_the_root(self, monkeypatch):
-        # with at most SWEEP_MAX_EDGES tree edges, only the root's cell is
-        # read, so tree_cut sweeps it without filling a state table
+        # with at most SWEEP_MAX_SUBSETS sets of k-1 tree edges, only the
+        # root's cell is read, so tree_cut sweeps it without a state table
         filled = []
         real_fill = treecut.fill_states
 
@@ -892,21 +920,27 @@ class TestTreeCut:
 
         monkeypatch.setattr(treecut, "fill_states", fill)
         rng = random.Random(41)
+        swept = 0
         for _ in range(30):
-            n = rng.randrange(4, treecut.SWEEP_MAX_EDGES + 2)
+            n = rng.randrange(4, 22)
             g = random_connected_graph(rng, n, rng.randrange(0, 2 * n))
             t = random_spanning_tree(rng, g)
             for k in range(2, 5):
+                if math.comb(n - 1, k - 1) > treecut.SWEEP_MAX_SUBSETS:
+                    continue
                 best = brute_tree_kcut(g, t, k).value
                 sol = tree_cut(g, t, best, k, EXH)
                 assert sol.value == best == cut_value(g, sol.partition)
-        assert filled == []
-        g = path_graph(treecut.SWEEP_MAX_EDGES + 2)
-        assert tree_cut(g, RootedTree.bfs_spanning(g), g.m, 2, EXH).value == 1
+                swept += 1
+        assert filled == [] and swept > 60
+        # 19 edges: C(18, 3) = 816 sets fit, C(19, 3) = 969 do not
+        g = path_graph(20)
+        assert math.comb(g.n - 1, 3) > treecut.SWEEP_MAX_SUBSETS
+        assert tree_cut(g, RootedTree.bfs_spanning(g), g.m, 4, EXH).value == 3
         assert filled == [g.n]
 
     def test_trials_only_path_and_cycle(self, monkeypatch):
-        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=3, trials="exhaustive")
         g = path_graph(5)
         t = RootedTree.bfs_spanning(g)
@@ -916,7 +950,7 @@ class TestTreeCut:
         assert tree_cut(g, t, 8, 2, cfg).value == 2
 
     def test_trials_only_sound(self, monkeypatch):
-        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=9, trials=8)
         rng = random.Random(31)
         hits = 0
@@ -940,7 +974,7 @@ class TestTreeCut:
         # captured before the trial engine moved to flat per-vertex lists
         g = random_connected_graph(random.Random(seed), n, extra)
         t = greedy_tree_packing(g, 1).trees[0]
-        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=4, trials="exhaustive")
         sol = tree_cut(g, t, 12, 3, cfg)
         assert sol.value == value
@@ -957,7 +991,7 @@ class TestTreeCut:
         # still looped over rank-preprocessing candidates
         g = random_connected_graph(random.Random(seed), n, extra)
         t = greedy_tree_packing(g, 1).trees[0]
-        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=2, trials=6)
         sol = tree_cut(g, t, lam, 5, cfg)
         assert sol.value == value
@@ -968,7 +1002,7 @@ class TestTreeCut:
         assert any(states[x, 4][0] < INF for x in t.order if x != t.root)
 
     def test_deterministic_per_seed(self, monkeypatch):
-        monkeypatch.setattr(treecut, "SWEEP_MAX_EDGES", 0)
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         g = random_connected_graph(random.Random(2), 7, 4)
         t = random_spanning_tree(random.Random(3), g)
         cfg = TrialConfig(seed=5, trials=6)
