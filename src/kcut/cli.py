@@ -288,8 +288,13 @@ def run_cli(argv=None) -> int:
                   file=sys.stdout if asked else sys.stderr)
             return 0 if asked else 1
         name, rest = "gen " + rest[0], rest[1:]
+    parser = _build_parsers()[name]
     try:
-        args = _build_parsers()[name].parse_intermixed_args(rest)
+        # report unknown flags, not the path an unknown flag's value displaced
+        args, extra = parser.parse_known_intermixed_args(rest)
+        if extra:
+            flags = [a for a in extra if a.startswith("-")]
+            parser.error("unrecognized arguments: %s" % " ".join(flags or extra))
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

@@ -290,50 +290,58 @@ def min_st_cut(
 ) -> Tuple[int, FrozenSet[int]]:
     """Minimum number of edges separating s from t, with the s-side set.
 
-    Unit capacity per edge record, so parallel edges add up.  BFS augmenting
-    paths; fine at the sizes this library certifies.  With a limit, flow
-    stops once it reaches the limit: a value at or above it then only says
-    the minimum is at least that large, and the side is not a cut.
+    Unit capacity per edge record, so parallel edges add up.  The flow
+    starts from every direct s-t edge and, through each common neighbour
+    w, min(mult(s, w), mult(w, t)) s-w-t paths; BFS augmenting paths then
+    walk the incidence lists, and the side is what the last search reached.
+    With a limit, the flow stops before any search once it reaches the
+    limit: a value at or above it then only says the minimum is at least
+    that large, and the side is not a cut.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("unknown endpoint for s-t cut")
     if s == t:
         raise ValueError("s and t must differ")
-    cap: List[Dict[int, int]] = [dict() for _ in range(g.n)]
-    for u, v in g._ends.values():
-        cap[u][v] = cap[u].get(v, 0) + 1
-        cap[v][u] = cap[v].get(u, 0) + 1
+    ends = g._ends
+    net: Dict[int, int] = {}  # units each edge carries away from its first endpoint
+
+    def send(e, x):  # one unit along e, away from x
+        net[e] = net.get(e, 0) + (1 if ends[e][0] == x else -1)
+
     flow = 0
+    spare: Dict[int, List[int]] = {}  # s's unused edges, by far end
+    for e in g.incident(s):
+        w = g.other(e, s)
+        if w == t:
+            send(e, s)
+            flow += 1
+        else:
+            spare.setdefault(w, []).append(e)
+    for e in g.incident(t):
+        w = g.other(e, t)
+        if spare.get(w):
+            send(spare[w].pop(), s)
+            send(e, w)
+            flow += 1
+    side: Iterable[int] = (s,)
     while limit is None or flow < limit:
-        parent = {s: s}
+        parent: Dict[int, Optional[int]] = {s: None}
         q = deque([s])
         while q and t not in parent:
             x = q.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
+            for e in g.incident(x):
+                a, b = ends[e]
+                y, away = (b, net.get(e, 0)) if a == x else (a, -net.get(e, 0))
+                if away < 1 and y not in parent:
+                    parent[y] = e
                     q.append(y)
         if t not in parent:
+            side = parent
             break
-        push = None
         y = t
         while y != s:
-            x = parent[y]
-            push = cap[x][y] if push is None else min(push, cap[x][y])
+            x = g.other(parent[y], y)
+            send(parent[y], x)
             y = x
-        y = t
-        while y != s:
-            x = parent[y]
-            cap[x][y] -= push
-            cap[y][x] = cap[y].get(x, 0) + push
-            y = x
-        flow += push
-    side = {s}
-    q = deque([s])
-    while q:
-        x = q.popleft()
-        for y, c in cap[x].items():
-            if c > 0 and y not in side:
-                side.add(y)
-                q.append(y)
+        flow += 1
     return flow, frozenset(side)

@@ -591,6 +591,7 @@ def _cell_trials(
         trials = trials[:20000]
     best: Tuple[float, Optional[FrozenSet[int]]] = (INF, None)
     seen_settings = set()
+    scored = set()  # deletion sets already scored in this cell
     for coloring, pattern in trials:
         key = (coloring.green, pattern)
         if key in seen_settings:
@@ -612,6 +613,9 @@ def _cell_trials(
         cert = hit[1]
         if len(cert) != target:
             continue  # overlapping proposals cannot certify this cell
+        if cert in scored:
+            continue  # its score is already at least best[0]
+        scored.add(cert)
         true_value = _score_deletion(sub, local_t, cert)
         if true_value < best[0]:
             best = (true_value, cert)
@@ -683,34 +687,13 @@ def contract_safe_edges(
         pair = (u, v) if u < v else (v, u)
         exceeds = checked.get(pair)
         if exceeds is None:
-            exceeds = checked[pair] = _st_cut_exceeds(g, u, v, lam)
+            exceeds = checked[pair] = min_st_cut(g, u, v, limit=lam + 1)[0] > lam
         if exceeds:
             safe.append(eid)
     if not safe:
         return g, t, ContractionMap.identity(g.n)
     t2, cmap = tree_quotient(t, safe)
     return quotient(g, cmap), t2, cmap
-
-
-def _st_cut_exceeds(g: MultiGraph, s: int, tt: int, lam: int) -> bool:
-    """True when more than lam edges are needed to separate s from tt."""
-    # quick lower bound: parallel edges plus single-hop bridges
-    direct = sum(1 for e in g.incident(s) if g.other(e, s) == tt)
-    if direct > lam:
-        return True
-    ns: Dict[int, int] = {}
-    for e in g.incident(s):
-        w = g.other(e, s)
-        ns[w] = ns.get(w, 0) + 1
-    bound = direct
-    for e in g.incident(tt):
-        w = g.other(e, tt)
-        if w in ns and w != s:
-            bound += min(1, ns[w])
-            ns[w] = 0
-    if bound > lam:
-        return True
-    return min_st_cut(g, s, tt, limit=lam + 1)[0] > lam
 
 
 def tree_cut(
@@ -739,8 +722,8 @@ def tree_cut(
         return KCutSolution(0, p, frozenset(), "treecut")
     work_g, work_t, cmap = contract_safe_edges(g, t, lam, checked)
     if work_g.n < k:
-        # over-contraction: the budget assumption was wrong; fall back to
-        # the uncontracted tree, where feasibility is guaranteed
+        # no k-cut costs at most lam: lam is below this stage's optimum;
+        # fall back to the uncontracted tree, which always has k parts
         work_g, work_t = g, t
         cmap = ContractionMap.identity(g.n)
     # only the root's cell is read, so a sweepable one needs no state table

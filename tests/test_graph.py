@@ -138,6 +138,14 @@ def test_min_st_cut_counts_parallel_edges():
     assert min_st_cut(g, 0, 1)[0] == 3
 
 
+def test_min_st_cut_seeds_doubled_two_hop_paths():
+    # s=0, t=1 through w=2, each hop doubled: two s-w-t paths, cut of 2
+    g = from_pairs(3, [(0, 2), (2, 1), (0, 2), (2, 1)])
+    for limit in (None, 2, 3):
+        assert min_st_cut(g, 0, 1, limit)[0] == 2
+    assert min_st_cut(g, 0, 1)[1] == frozenset({0})
+
+
 def test_min_st_cut_rejects_same_endpoints():
     with pytest.raises(ValueError):
         min_st_cut(path_graph(3), 1, 1)
@@ -248,21 +256,52 @@ def test_union_find_numbers_blocks_by_their_minimum(g, seed):
     assert cur == quotient(g, ContractionMap(tuple(labels)))
 
 
-@given(graphs, st.integers(min_value=0, max_value=10**6))
-def test_min_st_cut_matches_bipartition_enumeration(g, seed):
-    rng = random.Random(seed)
-    s, t = rng.sample(range(g.n), 2)
-    best = min(
+def brute_st_cut(g, s, t):
+    """Smallest cut over every bipartition with s on one side and t on the other."""
+    return min(
         cut_value(g, Partition([side, set(g.vertices) - side]))
         for r in range(1, g.n)
         for side in map(set, itertools.combinations(range(g.n), r))
         if s in side and t not in side
     )
+
+
+@given(graphs, st.integers(min_value=0, max_value=10**6))
+def test_min_st_cut_matches_bipartition_enumeration(g, seed):
+    rng = random.Random(seed)
+    s, t = rng.sample(range(g.n), 2)
+    best = brute_st_cut(g, s, t)
     value, side = min_st_cut(g, s, t)
     assert value == best
     assert (min_st_cut(g, s, t, limit=2)[0] >= 2) == (best >= 2)
     assert s in side and t not in side
     assert len(cut_edge_set(g, Partition([side, frozenset(g.vertices) - side]))) == value
+
+
+@st.composite
+def two_hop_multigraphs(draw):
+    """s=0, t=1, with parallel s-w and w-t edges through common neighbours w."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    hops = st.integers(min_value=0, max_value=3)
+    pairs = [(0, 1)] * draw(st.integers(min_value=0, max_value=2))
+    for w in range(2, n):
+        pairs += [(0, w)] * draw(hops) + [(w, 1)] * draw(hops)
+    ends = st.integers(min_value=0, max_value=n - 1)
+    pairs += [(u, v) for u, v in draw(st.lists(st.tuples(ends, ends), max_size=8)) if u != v]
+    return from_pairs(n, draw(st.permutations(pairs)))
+
+
+@given(two_hop_multigraphs())
+def test_seeded_min_st_cut_at_every_limit(g):
+    best = brute_st_cut(g, 0, 1)
+    for limit in [None] + list(range(1, best + 2)):
+        value, side = min_st_cut(g, 0, 1, limit)
+        if limit is None or limit > best:
+            assert value == best
+            assert 0 in side and 1 not in side
+            assert len(cut_edge_set(g, Partition([side, frozenset(g.vertices) - side]))) == best
+        else:
+            assert (value >= limit) == (best >= limit)
 
 
 @given(graphs)

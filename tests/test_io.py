@@ -289,6 +289,15 @@ class TestCli:
                      ["treepack", "--k", "2", "--seed", "3", path]):
             assert run_cli(argv) == 1, argv
 
+    def test_unknown_flag_error_names_the_flag(self, tmp_path, capsys):
+        path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))
+        capsys.readouterr()
+        assert run_cli(["treecut", "--k", "2", "--mode", "oracle_only", path]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --mode" in err and "c6.txt" not in err
+        assert run_cli(["solve", "--k", "2", path, "extra.txt"]) == 1
+        assert "unrecognized arguments: extra.txt" in capsys.readouterr().err
+
     def test_missing_k(self, tmp_path, capsys):
         path = write(tmp_path, "tri.txt", "0 1\n1 2\n0 2\n")
         assert run_cli(["solve", path]) == 1

@@ -350,18 +350,18 @@ class TestBranchingCells:
 
     def test_safe_edge_pairs_checked_once_per_stage(self, monkeypatch):
         stages = []
-        real_stage, real_check = solver._tree_stage, treecut._st_cut_exceeds
+        real_stage, real_flow = solver._tree_stage, treecut.min_st_cut
 
         def stage(*args):
             stages.append([])
             return real_stage(*args)
 
-        def check(g, s, t, lam):
+        def flow(g, s, t, limit=None):
             stages[-1].append(frozenset((s, t)))
-            return real_check(g, s, t, lam)
+            return real_flow(g, s, t, limit)
 
         monkeypatch.setattr(solver, "_tree_stage", stage)
-        monkeypatch.setattr(treecut, "_st_cut_exceeds", check)
+        monkeypatch.setattr(treecut, "min_st_cut", flow)
         solve_with_stats(TestPinnedTrialCells.chained_cliques((5, 5, 4), 2), 3)
         assert any(stages)
         for pairs in stages:

@@ -30,7 +30,6 @@ from kcut.treecut import (
     eval_f,
     eval_f_budgets,
     eval_f_p,
-    _st_cut_exceeds,
     _sweep_cell,
     fill_states,
     group_components,
@@ -160,7 +159,7 @@ def reference_contract_safe_edges(g, t, lam):
             u, v = cur_g.endpoints(eid)
             if min(cur_g.degree(u), cur_g.degree(v)) <= lam:
                 continue
-            if not _st_cut_exceeds(cur_g, u, v, lam):
+            if min_st_cut(cur_g, u, v)[0] <= lam:
                 continue
             cur_t, step = tree_quotient(cur_t, [eid])
             cur_g = quotient(cur_g, step)
@@ -888,6 +887,17 @@ class TestTreeCut:
         assert sol.partition.k == 2
         assert sol.value >= brute_min_kcut(g, 2).value
         assert cut_value(g, sol.partition) == sol.value
+
+    def test_lambda_below_the_optimum_falls_back_to_the_whole_tree(self):
+        # K12 plus a pendant vertex: `kcut treecut`'s lam = k^2 * delta = 9 at
+        # k=3 is below the optimum 12, so every K12 tree edge looks safe and
+        # contraction leaves fewer than k vertices
+        g = from_pairs(13, list(complete_graph(12).pairs) + [(0, 12)])
+        t = greedy_tree_packing(g, 1).trees[0]
+        assert contract_safe_edges(g, t, 9)[0].n < 3
+        sol = tree_cut(g, t, 9, 3, EXH)
+        assert sol.partition.k == 3 and cut_value(g, sol.partition) == sol.value
+        assert sol.value == brute_tree_kcut(g, t, 3).value == 12
 
     def test_infeasible_part_count(self):
         g = path_graph(3)
