@@ -1,30 +1,29 @@
 """Minimum k-cut driver.
 
 Branches on singleton blocks (delete a vertex, solve for k-1) in every
-cell.  Branching cells read the input's adjacency lists, restricted to
-the cell's vertex set, for its components and degrees; they build no
-subgraph.  In cells whose vertex set is a whole connected component of
-the input, it then scans a greedy spanning-tree packing with the
-tree-cut dynamic program, passing the branching incumbent as the cut
-budget lambda; dense components are sparsified first.  When a
-component's stage is over TREECUT_MAX_N, every cell below it runs its
-own tree stage the same way, since the DP may fit there.  Only these
-cells build an induced subgraph, and only when the DP may run on it:
-the sparsifier gate fires or the cell has at most TREECUT_MAX_N
-vertices.  Both paths produce feasible cuts scored against the real
-graph, so the returned minimum is always an upper bound on the optimum
-and matches it whenever either path can express an optimal partition.
-A cell holds only its value, blocks and provenance; the answer's
-partition and cut edges are built once, from the top cell's blocks.
+cell.  A cell is a bitmask of its vertices: its degrees are popcounts of
+the input's neighbour masks ANDed with it, its components a search over
+those masks, and it builds no subgraph.  In cells whose vertex set is a
+whole connected component of the input, it then scans a greedy
+spanning-tree packing with the tree-cut dynamic program, passing the
+branching incumbent as the cut budget lambda; dense components are
+sparsified first.  When a component's stage is over TREECUT_MAX_N, every
+cell below it runs its own tree stage the same way, since the DP may fit
+there.  Only these cells build an induced subgraph, and only when the DP
+may run on it: the sparsifier gate fires or the cell has at most
+TREECUT_MAX_N vertices.  Both paths produce feasible cuts scored against
+the real graph, so the returned minimum is always an upper bound on the
+optimum and matches it whenever either path can express an optimal
+partition.  A cell holds only its value, blocks (kept as masks) and
+provenance; the answer's partition and cut edges are built once, from
+the top cell's blocks.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import Infeasible
 from .graph import (
@@ -52,7 +51,7 @@ PACK_CAP = 64  # most trees packed per tree stage
 TREECUT_MAX_N = 32  # largest graph the tree stage attempts
 ORACLE_MAX_N = 10  # largest graph the brute-force oracle checks
 
-Cell = Tuple[int, Tuple[Tuple[int, ...], ...], str]  # a cell's (value, blocks, provenance)
+Cell = Tuple[int, Tuple[int, ...], str]  # a cell's (value, blocks as vertex bitmasks, provenance)
 
 
 @dataclass(frozen=True)
@@ -115,78 +114,95 @@ class _Context:
         self.g0 = g
         self.config = config
         self.stats = stats
-        self.memo: Dict[Tuple[FrozenSet[int], int], Cell] = {}
-        self.top_alive = frozenset(g.vertices)
-        # each vertex's neighbours, one entry per incident edge, aligned
-        # with g.incident(v)
-        self.nbrs = [tuple(g.other(e, v) for e in g.incident(v)) for v in g.vertices]
-        self.blocks = [sorted(b) for b in connected_components(g).blocks]
-        self.components = {frozenset(b) for b in self.blocks}
+        self.memo: Dict[Tuple[int, int], Cell] = {}
+        self.top_alive = (1 << g.n) - 1
+        # layers[j][v]: the neighbours joined to v by more than j edges, as
+        # a bitmask; only parallel edges add layers past the first
+        layers: List[List[int]] = [[0] * g.n]
+        for u, v in g.pairs:
+            for layer in layers:
+                if not layer[u] >> v & 1:
+                    break
+            else:
+                layer = [0] * g.n
+                layers.append(layer)
+            layer[u] |= 1 << v
+            layer[v] |= 1 << u
+        self.adj, self.extra = layers[0], layers[1:]
+        self.blocks = [_mask(b) for b in connected_components(g).blocks]
+        self.components = set(self.blocks)
         # vertices of the components whose own stage outgrew TREECUT_MAX_N:
         # every cell below them stages itself, as its DP may still fit
-        self.oversized: set = set()
+        self.oversized = 0
 
-    def split(self, alive: FrozenSet[int], order: List[int]) -> List[List[int]]:
-        """Components of the input restricted to alive, whose sorted vertices are order.
-
-        Each block is sorted, and blocks come in order of their minimum vertex.
-        """
+    def split(self, alive: int) -> List[int]:
+        """Components of the input restricted to alive, as masks in order of their lowest vertex."""
         if alive == self.top_alive:
             return self.blocks
-        neighbours = self.nbrs.__getitem__
-        unseen = set(alive)
+        adj = self.adj
         blocks = []
-        for s in order:
-            if s not in unseen:
-                continue
-            unseen.discard(s)
-            block, frontier = [s], (s,)
-            while frontier and unseen:
-                # one breadth-first level at a time
-                frontier = unseen.intersection(chain.from_iterable(map(neighbours, frontier)))
-                unseen -= frontier
-                block.extend(frontier)
-            block.sort()
-            blocks.append(block)
+        rest = alive
+        while rest:
+            start = rest
+            frontier = rest & -rest
+            rest ^= frontier
+            # expand one reached vertex at a time until the block is closed
+            # or nothing of alive is left to reach
+            while frontier and rest:
+                low = frontier & -frontier
+                frontier ^= low
+                new = adj[low.bit_length() - 1] & rest
+                rest ^= new
+                frontier |= new
+            blocks.append(start ^ rest)
         return blocks
 
-    def by_degree(self, alive: FrozenSet[int], order: List[int]) -> List[Tuple[int, int]]:
-        """(degree within alive, v) for every vertex v of alive, in ascending order."""
-        # v's degree within alive is how often v appears in alive's neighbour lists
-        count = Counter(chain.from_iterable(map(self.nbrs.__getitem__, order)))
-        return sorted(zip(map(count.__getitem__, order), order))
+    def degrees(self, alive: int, order: List[int]) -> List[int]:
+        """Degree within alive, parallel edges included, of each of order (alive's sorted vertices)."""
+        adj = self.adj
+        degrees = [(adj[v] & alive).bit_count() for v in order]
+        for layer in self.extra:
+            degrees = [d + (layer[v] & alive).bit_count() for d, v in zip(degrees, order)]
+        return degrees
 
 
-def _solve(ctx: _Context, alive: FrozenSet[int], k: int) -> Cell:
+def _mask(vertices) -> int:
+    """The bitmask of a set of vertices."""
+    return sum(1 << v for v in vertices)
+
+
+def _solve(ctx: _Context, alive: int, order: List[int], k: int) -> Cell:
+    """Best k-cut of the input restricted to alive, whose sorted vertices are order."""
     key = (alive, k)
     hit = ctx.memo.get(key)
     if hit is not None:
         return hit
     ctx.stats["cells"] += 1
     if k == 1:
-        cell = (0, (tuple(alive),), "base")
+        cell = (0, (alive,), "base")
     else:
-        order = sorted(alive)
-        blocks = ctx.split(alive, order)
+        blocks = ctx.split(alive)
         if len(blocks) > 1:
-            cell = _solve_components(ctx, blocks, k)
+            cell = _solve_components(ctx, blocks, order, k)
         else:
             cell = _solve_connected(ctx, alive, order, k)
     ctx.memo[key] = cell
     return cell
 
 
-def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> Cell:
+def _solve_components(ctx: _Context, blocks_orig: List[int], order: List[int], k: int) -> Cell:
     """Split the part budget across connected components; merges are free."""
     if k <= len(blocks_orig):
         # enough components already: keep k-1 of them apart, merge the rest
-        rest = tuple(v for b in blocks_orig[k - 1:] for v in b)
-        return 0, tuple(map(tuple, blocks_orig[:k - 1])) + (rest,), "components"
+        # (the masks are disjoint, so their sum is their union)
+        rest = sum(blocks_orig[k - 1:])
+        return 0, tuple(blocks_orig[:k - 1]) + (rest,), "components"
     tables: List[Dict[int, Cell]] = []
     for block in blocks_orig:
+        members = [v for v in order if block >> v & 1]
         table = {}
-        for j in range(1, min(k, len(block)) + 1):
-            table[j] = _solve(ctx, frozenset(block), j)
+        for j in range(1, min(k, len(members)) + 1):
+            table[j] = _solve(ctx, block, members, j)
         tables.append(table)
     dp: Dict[int, Tuple[int, Tuple[int, ...]]] = {0: (0, ())}
     for table in tables:
@@ -208,13 +224,13 @@ def _solve_components(ctx: _Context, blocks_orig: List[List[int]], k: int) -> Ce
 
 def _solve_connected(ctx, alive, order, k: int) -> Cell:
     n = len(order)
-    by_degree = ctx.by_degree(alive, order)
+    degrees = ctx.degrees(alive, order)
     sub = staged = None
     whole = alive in ctx.components
-    if whole or order[0] in ctx.oversized:
+    if whole or ctx.oversized >> order[0] & 1:
         # staged before branching, so the cells below see the mark; a cell
         # the DP cannot take (over the cap, gate off) builds no subgraph
-        gate = _sparsify_gate(n, by_degree[0][0], k)
+        gate = _sparsify_gate(n, min(degrees), k)
         stage_n = n
         if gate or n <= TREECUT_MAX_N:
             sub = ctx.g0 if alive == ctx.top_alive else induced_subgraph(ctx.g0, order)[0]
@@ -225,12 +241,13 @@ def _solve_connected(ctx, alive, order, k: int) -> Cell:
     best: Optional[Cell] = None
     # singleton branching, cheapest boundary first: any branch whose vertex
     # degree already matches the incumbent cannot improve on it
-    for d, v in by_degree:
+    for i in sorted(range(n), key=degrees.__getitem__):
+        d, v = degrees[i], order[i]
         if best is not None and d >= best[0]:
             break
-        value, blocks, _ = _solve(ctx, alive - {v}, k - 1)
+        value, blocks, _ = _solve(ctx, alive ^ 1 << v, order[:i] + order[i + 1:], k - 1)
         if best is None or value + d < best[0]:
-            best = (value + d, blocks + ((v,),), "branch")
+            best = (value + d, blocks + (1 << v,), "branch")
     if best is None:
         raise Infeasible("no feasible %d-cut of %d vertices" % (k, n))
     if staged is not None:
@@ -276,7 +293,8 @@ def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[Co
 def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Optional[Cell]:
     """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT.
 
-    sub is the input induced on alive, whose vertex i is order[i]; the cell names input ids.
+    sub is the input induced on alive, whose vertex i is order[i]; the
+    cell's blocks are masks of input ids.
     """
     cfg = ctx.config
     at_top = alive == ctx.top_alive
@@ -308,7 +326,7 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     if best is None:
         return None
     value, part_local = best
-    return value, tuple(tuple(order[v] for v in b) for b in part_local.blocks), "treecut"
+    return value, tuple(_mask(order[v] for v in b) for b in part_local.blocks), "treecut"
 
 
 def _fresh_stats(config: SolverConfig) -> dict:
@@ -335,8 +353,8 @@ def solve_with_stats(
     if g.n < 1 or k < 1 or k > g.n:
         raise Infeasible("cannot cut %d vertices into %d parts" % (g.n, k))
     ctx = _Context(g, config, stats)
-    value, blocks, provenance = _solve(ctx, frozenset(g.vertices), k)
-    partition = Partition(blocks)
+    value, blocks, provenance = _solve(ctx, ctx.top_alive, list(g.vertices), k)
+    partition = Partition([v for v in g.vertices if b >> v & 1] for b in blocks)
     assert value == cut_value(g, partition)
     sol = KCutSolution(value, partition, cut_edge_set(g, partition), provenance)
     if config.mode == "auto" and g.n <= ORACLE_MAX_N:

@@ -280,7 +280,8 @@ class TestPinnedTrialCells:
         one = self.chained_cliques((5, 5, 4), 2)
         pairs = list(one.pairs)
         g = from_pairs(2 * one.n, pairs + [(u + one.n, v + one.n) for u, v in pairs])
-        components = {frozenset(range(one.n)), frozenset(range(one.n, 2 * one.n))}
+        # cells name their vertices by bitmask
+        components = {(1 << one.n) - 1, ((1 << one.n) - 1) << one.n}
         cells, cut_cells = [], []
         real_stage, real_cut = solver._tree_stage, solver.tree_cut
 
@@ -314,11 +315,36 @@ class TestPinnedTrialCells:
         monkeypatch.setattr(solver, "_tree_stage", recorded)
         sol = min_kcut(g, 3)
         assert sol.value == 4
-        assert cells == [(frozenset(range(chain.n)), 9, 3)]  # lambda = branching's 2-cut
+        # the cell is the chain's vertex mask; lambda = branching's 2-cut
+        assert cells == [((1 << chain.n) - 1, 9, 3)]
+
+    @pytest.mark.parametrize("sizes, links, value, cells, block_sizes, split", [
+        ((12, 12, 13, 13), 3, 30, 2391, [1, 1, 1, 47], False),
+        ((20, 20, 20, 20), 2, 39, 6174, [1, 1, 18, 60], True),
+    ])
+    def test_branching_search_is_pinned(self, monkeypatch, sizes, links, value, cells,
+                                        block_sizes, split):
+        # over treecut_max_n with the gate off, so branching alone answers.
+        # Both are D1 misses (ROADMAP): the optima cut only the links, 9 and
+        # 6.  The Gomory-Hu incumbent of direction 1 is expected to find
+        # them, and must change these pins on purpose.
+        component_cells = []
+        real = solver._solve_components
+
+        def counted(*args):
+            component_cells.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_solve_components", counted)
+        sol, stats = solve_with_stats(self.chained_cliques(sizes, links), 4)
+        assert sol.value == value and sol.provenance == "branch"
+        assert stats["cells"] == cells and stats["trees_evaluated"] == 0
+        assert sorted(len(b) for b in sol.partition.blocks) == block_sizes
+        assert bool(component_cells) == split
 
 
 class TestBranchingCells:
-    """Branching cells read the input's adjacency lists, not a subgraph copy."""
+    """Branching cells read the input's neighbour masks, not a subgraph copy."""
 
     @staticmethod
     def subgraph_sizes(monkeypatch):
@@ -370,14 +396,17 @@ class TestBranchingCells:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_cells_match_the_induced_subgraph(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=9))
+        # up to 70 vertices, so masks span several 30-bit int digits;
+        # repeated pairs make parallel edges, which add neighbour-mask layers
+        n = data.draw(st.integers(min_value=1, max_value=70))
         ends = st.integers(min_value=0, max_value=n - 1)
-        raw = data.draw(st.lists(st.tuples(ends, ends), max_size=24))
+        raw = data.draw(st.lists(st.tuples(ends, ends), max_size=80))
+        raw += data.draw(st.lists(st.sampled_from(raw), max_size=20)) if raw else []
         g = from_pairs(n, [(u, v) for u, v in raw if u != v])
-        alive = frozenset(data.draw(st.sets(ends, min_size=1)))
-        order = sorted(alive)
+        order = sorted(data.draw(st.sets(ends, min_size=1)))
+        alive = sum(1 << v for v in order)
         ctx = solver._Context(g, SolverConfig(), {})
         sub, vmap = induced_subgraph(g, order)
-        assert ctx.split(alive, order) == [
-            sorted(order[x] for x in b) for b in connected_components(sub).blocks]
-        assert ctx.by_degree(alive, order) == sorted((sub.degree(vmap[v]), v) for v in order)
+        assert ctx.split(alive) == [
+            sum(1 << order[x] for x in b) for b in connected_components(sub).blocks]
+        assert ctx.degrees(alive, order) == [sub.degree(vmap[v]) for v in order]
