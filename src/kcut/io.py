@@ -34,15 +34,16 @@ def _parse_edgelist(text: str) -> Tuple[MultiGraph, Tuple[str, ...]]:
     ids: Dict[str, int] = {}
     pairs: List[Tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError("expected two vertex tokens, got %d" % len(tokens), lineno)
-        u, v = (ids.setdefault(tok, len(ids)) for tok in tokens)
+        a, b = tokens
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
         if u == v:
-            raise ParseError("self-loop %r" % tokens[0], lineno)
+            raise ParseError("self-loop %r" % a, lineno)
         pairs.append((u, v))
     return MultiGraph.from_edge_list(len(ids), pairs), tuple(ids)
 

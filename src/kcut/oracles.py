@@ -1,9 +1,11 @@
 """Brute-force reference implementations.
 
 Everything here favors obvious correctness over speed: these functions
-generate the ground truth the randomized pipeline is judged against, so
-they enumerate, they do not prune.  Budgets stop runaway enumeration
-before it starts.
+generate the ground truth the randomized pipeline is judged against.
+They enumerate; only `brute_min_kcut` prunes, and only prefixes that
+cannot beat the best so far, so it still returns the first optimum in
+restricted-growth order.  Budgets stop runaway enumeration before it
+starts.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Infeasible
 from .graph import (
@@ -45,25 +47,6 @@ def _stirling2(n: int, k: int) -> int:
     return row[k]
 
 
-def _partitions_exactly_k(n: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """Restricted-growth strings with exactly k distinct labels."""
-    labels = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[Tuple[int, ...]]:
-        if used + (n - i) < k:
-            return
-        if i == n:
-            if used == k:
-                yield tuple(labels)
-            return
-        top = used + 1 if used < k else used
-        for c in range(top):
-            labels[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    yield from rec(0, 0)
-
-
 def _labels_to_partition(labels: Tuple[int, ...]) -> Partition:
     blocks: List[List[int]] = [[] for _ in range(max(labels) + 1)]
     for v, c in enumerate(labels):
@@ -72,7 +55,14 @@ def _labels_to_partition(labels: Tuple[int, ...]) -> Partition:
 
 
 def brute_min_kcut(g: MultiGraph, k: int, budget: Optional[OracleBudget] = None) -> KCutSolution:
-    """Exact minimum k-cut by enumerating every k-block partition."""
+    """Exact minimum k-cut by a depth-first search over k-block partitions.
+
+    Vertices 0..n-1 take block labels in turn, in restricted-growth order,
+    each prefix carrying the value of the edges it already cuts; a prefix
+    that reaches the best value so far is dropped.  The first optimum in
+    that order is returned, as a full enumeration keeping only strict
+    improvements would.
+    """
     budget = budget or KCUT_BUDGET
     if not 1 <= k <= g.n:
         raise Infeasible("cannot split %d vertices into %d blocks" % (g.n, k))
@@ -80,20 +70,31 @@ def brute_min_kcut(g: MultiGraph, k: int, budget: Optional[OracleBudget] = None)
         raise BudgetExceeded("%d vertices exceeds the oracle cap %d" % (g.n, budget.max_vertices))
     if _stirling2(g.n, k) > budget.max_subsets:
         raise BudgetExceeded("too many %d-block partitions of %d vertices" % (k, g.n))
-    ends = [g.endpoints(e) for e in g.edge_ids]
-    best_value, best_labels = None, None
-    for labels in _partitions_exactly_k(g.n, k):
-        value = 0
-        for u, v in ends:
-            if labels[u] != labels[v]:
-                value += 1
-                if best_value is not None and value >= best_value:
-                    break
-        else:
-            if best_value is None or value < best_value:
-                best_value, best_labels = value, labels
-    p = _labels_to_partition(best_labels)
-    return KCutSolution(best_value, p, cut_edge_set(g, p), "oracle")
+    n = g.n
+    earlier: List[List[int]] = [[] for _ in range(n)]  # v's neighbours below v, one per edge
+    for u, v in g.pairs:
+        earlier[max(u, v)].append(min(u, v))
+    labels = [0] * n
+    best: List = [g.m + 1, None]  # every cut has at most m edges
+
+    def rec(i: int, used: int, value: int) -> None:
+        if used + (n - i) < k:
+            return
+        if i == n:
+            best[:] = value, tuple(labels)
+            return
+        inside = [0] * (used + 1)
+        for u in earlier[i]:
+            inside[labels[u]] += 1
+        for c in range(used + 1 if used < k else used):
+            step = value + len(earlier[i]) - inside[c]
+            if step < best[0]:  # cut values only grow along a prefix
+                labels[i] = c
+                rec(i + 1, max(used, c + 1), step)
+
+    rec(0, 0, 0)
+    p = _labels_to_partition(best[1])
+    return KCutSolution(best[0], p, cut_edge_set(g, p), "oracle")
 
 
 def brute_tree_kcut(g: MultiGraph, t: RootedTree, k: int) -> KCutSolution:

@@ -25,7 +25,8 @@ def greedy_tree_packing(g: MultiGraph, count: int) -> TreePack:
     """Pack `count` spanning trees, each minimizing total load so far.
 
     Kruskal under the key (load, edge id), so runs are reproducible and
-    ties always favor the lowest identifier.
+    ties always favor the lowest identifier.  A tree packed in several
+    rounds appears once per round, as one shared object.
     """
     if count < 1:
         raise ValueError("tree count must be positive")
@@ -33,13 +34,17 @@ def greedy_tree_packing(g: MultiGraph, count: int) -> TreePack:
         raise ValueError("tree packing needs a connected graph with at least one vertex")
     loads = {e: 0 for e in g.edge_ids}
     trees = []
+    built: Dict[FrozenSet[int], RootedTree] = {}
     for _ in range(count):
         order = sorted(g.edge_ids, key=lambda e: (loads[e], e))
         _, merged = union_find(g.n, [g.endpoints(e) for e in order])
         chosen = [order[i] for i in merged]
         for e in chosen:
             loads[e] += 1
-        trees.append(RootedTree.from_edge_ids(g, chosen, root=0))
+        key = frozenset(chosen)
+        if key not in built:
+            built[key] = RootedTree.from_edge_ids(g, chosen, root=0)
+        trees.append(built[key])
     return TreePack(tuple(trees), loads)
 
 

@@ -35,7 +35,6 @@ from .graph import (
     cut_edge_set,
     cut_value,
     induced_subgraph,
-    is_simple,
     pull_back,
 )
 from .oracles import brute_min_kcut
@@ -157,6 +156,10 @@ class _Context:
             blocks.append(start ^ rest)
         return blocks
 
+    def simple(self, alive: int, order: List[int]) -> bool:
+        """True when no two of order (alive's sorted vertices) share more than one edge."""
+        return not self.extra or not any(self.extra[0][v] & alive for v in order)
+
     def degrees(self, alive: int, order: List[int]) -> List[int]:
         """Degree within alive, parallel edges included, of each of order (alive's sorted vertices)."""
         adj = self.adj
@@ -234,7 +237,7 @@ def _solve_connected(ctx, alive, order, k: int) -> Cell:
         stage_n = n
         if gate or n <= TREECUT_MAX_N:
             sub = ctx.g0 if alive == ctx.top_alive else induced_subgraph(ctx.g0, order)[0]
-            staged = _stage(ctx, alive, sub, k, gate)
+            staged = _stage(ctx, alive, order, sub, k, gate)
             stage_n = staged[0].n
         if whole and stage_n > TREECUT_MAX_N:
             ctx.oversized |= alive
@@ -274,13 +277,13 @@ def sparsify_for_k(g: MultiGraph, k: int) -> Tuple[int, MultiGraph, KTResult]:
     return forests, ni, kt_sparsify(ni, KTParams(alpha=k * k))
 
 
-def _stage(ctx, alive, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[ContractionMap]]:
+def _stage(ctx, alive, order, sub, k: int, gate: bool) -> Tuple[MultiGraph, Optional[ContractionMap]]:
     """The graph the tree DP sees: sub, or its NI/KT sparsifier when the gate fires.
 
     Returns the stage and the map from sub's vertices to the stage's
     (None when sub is not contracted).
     """
-    if not (gate and is_simple(sub)):
+    if not (gate and ctx.simple(alive, order)):
         return sub, None
     _, ni, kt = sparsify_for_k(sub, k)
     ctx.stats["sparsified_cells"] += 1

@@ -2,7 +2,7 @@
 
 import random
 
-from kcut.graph import MultiGraph
+from kcut.graph import KCutSolution, MultiGraph, Partition, cut_edge_set
 
 
 def from_pairs(n, pairs):
@@ -51,3 +51,39 @@ def random_multigraph(rng: random.Random, n, m):
         if u != v:
             pairs.append((u, v))
     return from_pairs(n, pairs)
+
+
+def _partitions_exactly_k(n, k):
+    """Restricted-growth strings with exactly k distinct labels, in lexicographic order."""
+    labels = [0] * n
+
+    def rec(i, used):
+        if used + (n - i) < k:
+            return
+        if i == n:
+            if used == k:
+                yield tuple(labels)
+            return
+        top = used + 1 if used < k else used
+        for c in range(top):
+            labels[i] = c
+            yield from rec(i + 1, max(used, c + 1))
+
+    yield from rec(0, 0)
+
+
+def reference_min_kcut(g, k):
+    """Exact minimum k-cut by scanning every k-block partition in full.
+
+    Keeps the first partition of least value in restricted-growth order,
+    replacing the best only on a strictly smaller value.
+    """
+    ends = [g.endpoints(e) for e in g.edge_ids]
+    best_value, best_labels = None, None
+    for labels in _partitions_exactly_k(g.n, k):
+        value = sum(1 for u, v in ends if labels[u] != labels[v])
+        if best_value is None or value < best_value:
+            best_value, best_labels = value, labels
+    blocks = [[v for v in range(g.n) if best_labels[v] == c] for c in range(k)]
+    p = Partition(blocks)
+    return KCutSolution(best_value, p, cut_edge_set(g, p), "oracle")

@@ -24,6 +24,7 @@ from helpers import (
     path_graph,
     random_connected_graph,
     random_simple_graph,
+    reference_min_kcut,
 )
 
 
@@ -77,6 +78,23 @@ def test_min_kcut_infeasible_and_budget():
         brute_min_kcut(path_graph(13), 2)
     with pytest.raises(BudgetExceeded):
         brute_min_kcut(path_graph(9), 4, OracleBudget(max_vertices=12, max_subsets=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_min_kcut_matches_the_full_enumeration(data):
+    # repeated pairs make parallel edges; vertices no pair names stay isolated
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    raw = data.draw(st.lists(st.tuples(ends, ends), max_size=20))
+    raw += data.draw(st.lists(st.sampled_from(raw), max_size=8)) if raw else []
+    g = from_pairs(n, [(u, v) for u, v in raw if u != v])
+    for k in range(1, n + 1):
+        want = reference_min_kcut(g, k)
+        got = brute_min_kcut(g, k)
+        assert got.value == want.value
+        assert got.partition.blocks == want.partition.blocks
+        assert got.cut_edges == want.cut_edges
 
 
 def test_tree_kcut_examples():

@@ -43,6 +43,39 @@ def test_packing_single_round_id_tiebreak():
     assert pack.trees[0].edge_ids == frozenset({0, 1, 2})
 
 
+def test_repeated_trees_share_one_object():
+    g = complete_graph(5)
+    count = 12
+    pack = greedy_tree_packing(g, count)
+    assert len(pack.trees) == count
+    by_ids = {}
+    for t in pack.trees:
+        assert by_ids.setdefault(t.edge_ids, t) is t
+    assert len(by_ids) < count
+    # plain Kruskal under the key (load, edge id)
+    loads = {e: 0 for e in g.edge_ids}
+    want = []
+    for _ in range(count):
+        head = list(range(g.n))
+
+        def find(x):
+            while head[x] != x:
+                x = head[x]
+            return x
+
+        chosen = set()
+        for e in sorted(g.edge_ids, key=lambda e: (loads[e], e)):
+            a, b = (find(x) for x in g.endpoints(e))
+            if a != b:
+                head[a] = b
+                chosen.add(e)
+        for e in chosen:
+            loads[e] += 1
+        want.append(frozenset(chosen))
+    assert [t.edge_ids for t in pack.trees] == want
+    assert pack.loads == loads
+
+
 def test_packing_rejects_disconnected():
     with pytest.raises(ValueError):
         greedy_tree_packing(from_pairs(4, [(0, 1), (2, 3)]), 1)

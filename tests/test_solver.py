@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcut.errors import Infeasible
-from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph
+from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph, is_simple
 from kcut.oracles import OracleBudget, brute_min_kcut
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats, tree_count
 import kcut.solver as solver
@@ -410,3 +410,4 @@ class TestBranchingCells:
         assert ctx.split(alive) == [
             sum(1 << order[x] for x in b) for b in connected_components(sub).blocks]
         assert ctx.degrees(alive, order) == [sub.degree(vmap[v]) for v in order]
+        assert ctx.simple(alive, order) == is_simple(sub)
