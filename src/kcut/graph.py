@@ -191,33 +191,32 @@ def union_find(n: int, pairs: Iterable[Tuple[int, int]]) -> Tuple[List[int], Lis
     smallest vertex, and the indices of the pairs that joined two classes
     (Kruskal's choices when the pairs come sorted by weight).
     """
-    head = list(range(n))
-
-    def find(x):
-        while head[x] != x:
-            head[x] = head[head[x]]
-            x = head[x]
-        return x
-
+    head = list(range(n))  # head[x] <= x, with equality exactly at roots
     merged = []
     for i, (u, v) in enumerate(pairs):
-        a, b = find(u), find(v)
-        if a != b:
+        while head[u] != u:
+            head[u] = head[head[u]]  # path halving
+            u = head[u]
+        while head[v] != v:
+            head[v] = head[head[v]]
+            v = head[v]
+        if u != v:
             # the smaller root wins, so every root is its class's minimum
-            if a < b:
-                head[b] = a
+            if u < v:
+                head[v] = u
             else:
-                head[a] = b
+                head[u] = v
             merged.append(i)
+            if len(merged) == n - 1:
+                break  # one class is left: no later pair joins two
     labels = [0] * n
     count = 0
     for v in range(n):
-        r = find(v)
-        if r == v:
+        if head[v] == v:
             labels[v] = count
             count += 1
         else:
-            labels[v] = labels[r]
+            labels[v] = labels[head[v]]  # head[v] < v lies in v's class
     return labels, merged
 
 

@@ -307,16 +307,12 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     pack = greedy_tree_packing(stage, count)
     ctx.stats["trees_packed"] += count
     best = None
-    seen = set()
     checked: Dict[Tuple[int, int], bool] = {}  # safe-edge answers, shared by every tree
-    for t in pack.trees:
-        ids = t.edge_ids
-        if ids in seen:
-            continue
-        seen.add(ids)
+    for t in dict.fromkeys(pack.trees):  # the packing shares one object per edge set
+        ids = tuple(sorted(t.edge_ids))
         if at_top and kt_map is None:
-            ctx.stats["packed_trees"].append(tuple(sorted(ids)))
-        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(ids))))
+            ctx.stats["packed_trees"].append(ids)
+        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, ids))
         sol = tree_cut(stage, t, lam, k, trial, checked)
         ctx.stats["trees_evaluated"] += 1
         # tree_cut scored the cut on stage, which is sub unless KT contracted it

@@ -11,7 +11,8 @@ achievable and never below the true optimum of the deletions they name.
 A cell with at most SWEEP_MAX_SUBSETS deletion sets skips the trial
 machinery and enumerates them outright, scoring each set against bitmasks
 of the tree paths the graph's edges span; `tree_cut` does so at the root
-whenever the whole contracted tree qualifies, without filling any state.
+whenever the tree's non-safe edges qualify, without filling any state or
+contracting the safe edges.
 """
 
 from __future__ import annotations
@@ -503,30 +504,33 @@ def _score_deletion(sub: MultiGraph, local_t: RootedTree, ids: Iterable[int]) ->
 
 
 def _deletion_scores(
-    sub: MultiGraph, local_t: RootedTree, parts: int
+    sub: MultiGraph, local_t: RootedTree, parts: int, skip: FrozenSet[int] = frozenset()
 ) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """Exact cost of every deletion of parts-1 tree edges, in combinations order.
+    """Exact cost of every deletion of parts-1 tree edges outside skip, in combinations order.
 
-    Tree edge i (by ascending id) owns bit i and up[v] holds the bits of
-    v's root path, so a graph edge (u, v) is cut exactly when its tree path
-    up[u] ^ up[v] meets the deletion's bits.  Equal paths are counted once.
+    Tree edge i (by ascending id, skip left out) owns bit i and up[v] holds
+    the bits of v's root path, so a graph edge (u, v) is cut exactly when
+    its tree path up[u] ^ up[v] meets the deletion's bits, as if skip were
+    contracted.  Equal paths are counted once.
     """
-    ids = sorted(local_t.edge_ids)
+    ids = sorted(local_t.edge_ids - skip)
     bit = {e: 1 << i for i, e in enumerate(ids)}
     up = [0] * local_t.n
     for v in local_t.order:
         e = local_t.parent_edge(v)
         if e is not None:
-            up[v] = up[local_t.parent(v)] | bit[e]
+            up[v] = up[local_t.parent(v)] | bit.get(e, 0)
     counted = list(Counter(up[u] ^ up[v] for u, v in sub.pairs).items())
     for combo in itertools.combinations(ids, parts - 1):
         mask = sum(bit[e] for e in combo)
         yield sum(c for path, c in counted if path & mask), combo
 
 
-def _sweep_cell(sub: MultiGraph, local_t: RootedTree, parts: int):
-    """Exact: the first cheapest deletion of parts-1 tree edges, as (value, edge ids)."""
-    value, combo = min(_deletion_scores(sub, local_t, parts), key=itemgetter(0))
+def _sweep_cell(
+    sub: MultiGraph, local_t: RootedTree, parts: int, skip: FrozenSet[int] = frozenset()
+):
+    """Exact: the first cheapest deletion of parts-1 edges outside skip, as (value, edge ids)."""
+    value, combo = min(_deletion_scores(sub, local_t, parts, skip), key=itemgetter(0))
     return value, frozenset(combo)
 
 
@@ -661,13 +665,10 @@ def fill_states(
     return states
 
 
-def contract_safe_edges(
-    g: MultiGraph,
-    t: RootedTree,
-    lam: int,
-    checked: Optional[Dict[Tuple[int, int], bool]] = None,
-) -> Tuple[MultiGraph, RootedTree, ContractionMap]:
-    """Contract tree edges no small cut can cross.
+def safe_tree_edges(
+    g: MultiGraph, t: RootedTree, lam: int, checked: Optional[Dict[Tuple[int, int], bool]] = None
+) -> FrozenSet[int]:
+    """Tree edges no small cut can cross.
 
     If the cheapest way to separate a tree edge's endpoints costs more
     than lam, no k-cut of value at most lam separates them either, so the
@@ -690,6 +691,14 @@ def contract_safe_edges(
             exceeds = checked[pair] = min_st_cut(g, u, v, limit=lam + 1)[0] > lam
         if exceeds:
             safe.append(eid)
+    return frozenset(safe)
+
+
+def contract_safe_edges(
+    g: MultiGraph, t: RootedTree, lam: int, checked: Optional[Dict[Tuple[int, int], bool]] = None
+) -> Tuple[MultiGraph, RootedTree, ContractionMap]:
+    """Contract the `safe_tree_edges` in both the graph and the tree."""
+    safe = safe_tree_edges(g, t, lam, checked)
     if not safe:
         return g, t, ContractionMap.identity(g.n)
     t2, cmap = tree_quotient(t, safe)
@@ -708,10 +717,11 @@ def tree_cut(
 
     Always returns a feasible cut whose value is re-scored from its
     deletion set; when the tree is tight for some minimum k-cut of value
-    at most lam, exhaustive trials recover that minimum exactly.  A
-    contracted tree with at most SWEEP_MAX_SUBSETS sets of k-1 edges is
-    swept at the root alone, scoring sets by root-path bitmasks.
-    `checked` is passed on to `contract_safe_edges`.
+    at most lam, exhaustive trials recover that minimum exactly.  If at
+    most SWEEP_MAX_SUBSETS sets of k-1 edges avoid the `safe_tree_edges`,
+    they are swept at the root alone, on the uncontracted tree; otherwise
+    the DP runs with the safe edges contracted.  `checked` is the safe-edge
+    cache, as in `safe_tree_edges`; the DP path's second pass only reads it.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -720,20 +730,21 @@ def tree_cut(
     if k == 1:
         p = Partition([set(g.vertices)])
         return KCutSolution(0, p, frozenset(), "treecut")
-    work_g, work_t, cmap = contract_safe_edges(g, t, lam, checked)
-    if work_g.n < k:
+    checked = {} if checked is None else checked
+    safe = safe_tree_edges(g, t, lam, checked)
+    if t.n - len(safe) < k:
         # no k-cut costs at most lam: lam is below this stage's optimum;
         # fall back to the uncontracted tree, which always has k parts
-        work_g, work_t = g, t
-        cmap = ContractionMap.identity(g.n)
+        safe = frozenset()
     # only the root's cell is read, so a sweepable one needs no state table
-    if math.comb(work_t.n - 1, k - 1) <= SWEEP_MAX_SUBSETS:
-        cert = _sweep_cell(work_g, work_t, k)[1]
+    if math.comb(t.n - 1 - len(safe), k - 1) <= SWEEP_MAX_SUBSETS:
+        original = forest_components(t, _sweep_cell(g, t, k, safe)[1])
     else:
+        work_g, work_t, cmap = (contract_safe_edges(g, t, lam, checked) if safe
+                                else (g, t, ContractionMap.identity(g.n)))
         cert = fill_states(work_g, work_t, k, lam, config)[work_t.root, k][1]
-    if cert is None:
-        raise Infeasible("no feasible deletion found")
-    original = pull_back(forest_components(work_t, cert), cmap, g.n)
+        if cert is None:
+            raise Infeasible("no feasible deletion found")
+        original = pull_back(forest_components(work_t, cert), cmap, g.n)
     cut = cut_edge_set(g, original)
     return KCutSolution(len(cut), original, cut, "treecut")
-

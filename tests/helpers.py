@@ -87,3 +87,42 @@ def reference_min_kcut(g, k):
     blocks = [[v for v in range(g.n) if best_labels[v] == c] for c in range(k)]
     p = Partition(blocks)
     return KCutSolution(best_value, p, cut_edge_set(g, p), "oracle")
+
+
+def reference_tree_packing(g, count):
+    """Greedy packing by a plain Kruskal under the key (load, edge id) every round.
+
+    Returns the edge id set of each round's tree, in round order, and the
+    final load of every edge.
+    """
+    loads = {e: 0 for e in g.edge_ids}
+    trees = []
+    for _ in range(count):
+        head = list(range(g.n))
+
+        def find(x):
+            while head[x] != x:
+                x = head[x]
+            return x
+
+        chosen = set()
+        for e in sorted(g.edge_ids, key=lambda e: (loads[e], e)):
+            a, b = (find(x) for x in g.endpoints(e))
+            if a != b:
+                head[a] = b
+                chosen.add(e)
+        for e in chosen:
+            loads[e] += 1
+        trees.append(frozenset(chosen))
+    return trees, loads
+
+
+def random_connected_multigraph(rng: random.Random, n, extra):
+    """Random spanning tree plus `extra` random edges (parallels likely), ids shuffled."""
+    pairs = [(rng.randrange(v), v) for v in range(1, n)]
+    while n > 1 and len(pairs) < n - 1 + extra:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.append((u, v))
+    rng.shuffle(pairs)
+    return from_pairs(n, pairs)

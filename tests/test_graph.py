@@ -256,6 +256,39 @@ def test_union_find_numbers_blocks_by_their_minimum(g, seed):
     assert cur == quotient(g, ContractionMap(tuple(labels)))
 
 
+def full_scan_union_find(n, pairs):
+    """Union-find that reads every pair; the smaller root wins each join."""
+    head = list(range(n))
+
+    def find(x):
+        while head[x] != x:
+            x = head[x]
+        return x
+
+    merged = []
+    for i, (u, v) in enumerate(pairs):
+        a, b = find(u), find(v)
+        if a != b:
+            head[max(a, b)] = min(a, b)
+            merged.append(i)
+    rank = {}
+    return [rank.setdefault(find(v), len(rank)) for v in range(n)], merged
+
+
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
+def test_union_find_stops_at_the_spanning_point_with_full_scan_answers(n, seed):
+    rng = random.Random(seed)
+    # a spanning tree's pairs mixed with random ones, so pairs follow the
+    # point where one class is left
+    pairs = [(rng.randrange(v), v) for v in range(1, n)] + random_pairs(rng, n)
+    rng.shuffle(pairs)
+    assert union_find(n, pairs) == full_scan_union_find(n, pairs)
+    # nothing after the (n-1)-th merge is read: an unknown vertex there is harmless
+    labels, merged = union_find(n, iter(pairs + [(n, n + 1)]))
+    assert (labels, merged) == full_scan_union_find(n, pairs)
+    assert labels == [0] * n and len(merged) == n - 1
+
+
 def brute_st_cut(g, s, t):
     """Smallest cut over every bipartition with s on one side and t on the other."""
     return min(

@@ -16,7 +16,13 @@ from kcut.io import (
     serialize_graph,
 )
 
-from helpers import complete_graph, cycle_graph, from_pairs, random_multigraph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    from_pairs,
+    random_multigraph,
+    reference_tree_packing,
+)
 
 
 def edge_multiset(g, labels):
@@ -326,6 +332,30 @@ class TestCli:
         code, report = run_json(capsys, ["treecut", "--k", "2", path])
         assert code == 0
         assert report["solution"]["value"] == 2
+
+    def test_tree_commands_pinned_on_a_multigraph(self, tmp_path, capsys):
+        # 11 parallel edges each on 0-1 and 1-2, so at k=3 (lam = 9 * delta
+        # = 9) two tree edges are safe and the sweep skips them
+        text = "0 1\n" * 11 + "1 2\n" * 11 + "0 3\n3 4\n4 2\n1 5\n0 4\n"
+        path = write(tmp_path, "multi.txt", text)
+        g, _ = parse_graph(text)  # labels are 0..5 in order, edge ids by line
+        assert run_cli(["treepack", "--trials", "200", "--no-timing", path]) == 0
+        out = capsys.readouterr().out
+        trees, loads = reference_tree_packing(g, 200)
+        assert json.loads(out)["stats"] == {
+            "count": 200, "distinct": len(set(trees)), "max_load": max(loads.values()),
+            "trees": [sorted(ids) for ids in trees]}
+        assert run_cli(["treecut", "--k", "3", "--no-timing", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solution"] == {
+            "blocks": [["0", "1", "2", "5"], ["3"], ["4"]], "cut_edges": [22, 23, 24, 26],
+            "provenance": "treecut", "value": 4}
+        assert report["stats"] == {"lambda": 9, "tree_edges": [0, 11, 22, 23, 25], "trials": 16}
+        for argv in (["treepack", "--trials", "200"], ["treecut", "--k", "3"]):
+            assert run_cli(argv + ["--no-timing", path]) == 0
+            first = capsys.readouterr().out
+            assert run_cli(argv + ["--no-timing", path]) == 0
+            assert capsys.readouterr().out == first
 
     def test_sparsify(self, tmp_path, capsys, monkeypatch):
         import kcut.sparsify

@@ -3,9 +3,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kcut.errors import Infeasible
-from kcut.graph import ContractionMap, MultiGraph, cut_value, min_st_cut, quotient, union_find
+from kcut.graph import (
+    ContractionMap,
+    MultiGraph,
+    cut_edge_set,
+    cut_value,
+    min_st_cut,
+    pull_back,
+    quotient,
+    union_find,
+)
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
 from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree, build_hld, forest_components, forest_labels, tree_quotient
@@ -43,6 +53,7 @@ from helpers import (
     from_pairs,
     path_graph,
     random_connected_graph,
+    random_connected_multigraph,
     random_multigraph,
 )
 
@@ -1019,6 +1030,105 @@ class TestTreeCut:
         a = tree_cut(g, t, 6, 3, cfg)
         b = tree_cut(g, t, 6, 3, cfg)
         assert a.value == b.value and a.partition.blocks == b.partition.blocks
+
+
+def reference_tree_cut(g, t, lam, k, config):
+    """tree_cut by contracting the safe edges first, on either path.
+
+    Sweeps or fills the contraction, then pulls the deletion's partition
+    back to g; returns (value, partition, cut edges).
+    """
+    work_g, work_t, cmap = contract_safe_edges(g, t, lam)
+    if work_g.n < k:
+        work_g, work_t, cmap = g, t, ContractionMap.identity(g.n)
+    if math.comb(work_t.n - 1, k - 1) <= treecut.SWEEP_MAX_SUBSETS:
+        cert = _sweep_cell(work_g, work_t, k)[1]
+    else:
+        cert = fill_states(work_g, work_t, k, lam, config)[work_t.root, k][1]
+        if cert is None:
+            raise Infeasible("no feasible deletion found")
+    original = pull_back(forest_components(work_t, cert), cmap, g.n)
+    cut = cut_edge_set(g, original)
+    return len(cut), original, cut
+
+
+def singleton_bound(g, k):
+    """Degree sum of the k-1 lowest-degree vertices: a k-cut value, so at least the optimum."""
+    return sum(sorted(g.degree(v) for v in g.vertices)[:k - 1])
+
+
+class TestTreeCutReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=12),
+           st.integers(min_value=0, max_value=20), st.integers(min_value=2, max_value=4),
+           st.data())
+    def test_uncontracted_sweep_matches_contracted_sweep(self, seed, n, extra, k, data):
+        k = min(k, n)
+        rng = random.Random(seed)
+        g = random_connected_multigraph(rng, n, extra)
+        trees = greedy_tree_packing(g, 4).trees
+        t = trees[rng.randrange(len(trees))]
+        # from 0, where every tree edge is safe and tree_cut falls back to
+        # the whole tree, to above the optimum, where few or none are
+        lam = data.draw(st.integers(min_value=0, max_value=singleton_bound(g, k) + 2))
+        sol = tree_cut(g, t, lam, k, EXH)
+        assert (sol.value, sol.partition, sol.cut_edges) == reference_tree_cut(g, t, lam, k, EXH)
+
+    def test_every_regime_is_reached(self):
+        # the seeded twin of the property above, counting which paths ran
+        rng = random.Random(47)
+        fell_back = contracted = whole = 0
+        for _ in range(150):
+            n = rng.randrange(2, 13)
+            g = random_connected_multigraph(rng, n, rng.randrange(0, 21))
+            k = min(rng.randrange(2, 5), n)
+            t = greedy_tree_packing(g, 2).trees[-1]
+            lam = rng.randrange(0, singleton_bound(g, k) + 3)
+            sol = tree_cut(g, t, lam, k, EXH)
+            assert (sol.value, sol.partition, sol.cut_edges) == \
+                reference_tree_cut(g, t, lam, k, EXH)
+            left = contract_safe_edges(g, t, lam)[0].n
+            fell_back += left < k
+            contracted += k <= left < n
+            whole += left == n
+        assert min(fell_back, contracted, whole) >= 15
+
+    def test_sweep_path_builds_no_contraction(self, monkeypatch):
+        # two K5s and a bridge at lam=1: every K5 edge is safe, so only the
+        # bridge is swept, on the uncontracted tree
+        def forbidden(*args):
+            raise AssertionError("the sweep path contracted the tree")
+
+        for name in ("quotient", "tree_quotient", "pull_back"):
+            monkeypatch.setattr(treecut, name, forbidden)
+        g = from_pairs(10, list(complete_graph(5).pairs)
+                       + [(u + 5, v + 5) for u, v in complete_graph(5).pairs] + [(4, 5)])
+        t = greedy_tree_packing(g, 1).trees[0]
+        assert treecut.safe_tree_edges(g, t, 1) == t.edge_ids - {20}
+        sol = tree_cut(g, t, 1, 2, EXH)
+        assert sol.value == 1 and sol.cut_edges == {20}
+        assert sol.partition.blocks == (frozenset(range(5)), frozenset(range(5, 10)))
+
+    def test_state_table_path_matches_reference(self, monkeypatch):
+        # with no sweep at the root, tree_cut contracts before the DP, and
+        # falls back to the whole tree when lam leaves fewer than k vertices
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
+        rng = random.Random(53)
+        fell_back = contracted = 0
+        for _ in range(30):
+            n = rng.randrange(3, 9)
+            g = random_connected_multigraph(rng, n, rng.randrange(0, 10))
+            k = rng.randrange(2, 4)
+            t = greedy_tree_packing(g, 1).trees[0]
+            lam = rng.randrange(1, singleton_bound(g, k) + 3)  # trials need lam >= 1
+            cfg = TrialConfig(seed=rng.randrange(100), trials=4)
+            sol = tree_cut(g, t, lam, k, cfg)
+            assert (sol.value, sol.partition, sol.cut_edges) == \
+                reference_tree_cut(g, t, lam, k, cfg)
+            left = contract_safe_edges(g, t, lam)[0].n
+            fell_back += left < k
+            contracted += k <= left < n
+        assert fell_back >= 3 and contracted >= 3
 
 
 class TestHLDExamples:
