@@ -262,25 +262,13 @@ def induced_subgraph(g: MultiGraph, keep: Iterable[int]) -> Tuple[MultiGraph, Di
 
 
 def connected_components(g: MultiGraph) -> Partition:
-    """Vertex partition into connected components."""
+    """Vertex partition into connected components, the classes `union_find` labels."""
     if g.n == 0:
         raise ValueError("empty graph has no component structure")
-    seen = [False] * g.n
-    blocks = []
-    for s in g.vertices:
-        if seen[s]:
-            continue
-        comp, q = [], deque([s])
-        seen[s] = True
-        while q:
-            x = q.popleft()
-            comp.append(x)
-            for e in g.incident(x):
-                y = g.other(e, x)
-                if not seen[y]:
-                    seen[y] = True
-                    q.append(y)
-        blocks.append(comp)
+    labels, merged = union_find(g.n, g.pairs)
+    blocks: List[List[int]] = [[] for _ in range(g.n - len(merged))]
+    for v, label in enumerate(labels):
+        blocks[label].append(v)
     return Partition(blocks)
 
 

@@ -133,6 +133,7 @@ class _Context:
         # vertices of the components whose own stage outgrew TREECUT_MAX_N:
         # every cell below them stages itself, as its DP may still fit
         self.oversized = 0
+        self.packed_trees: List[RootedTree] = []  # the top cell's, as in stats["packed_trees"]
 
     def split(self, alive: int) -> List[int]:
         """Components of the input restricted to alive, as masks in order of their lowest vertex."""
@@ -312,6 +313,7 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
         ids = tuple(sorted(t.edge_ids))
         if at_top and kt_map is None:
             ctx.stats["packed_trees"].append(ids)
+            ctx.packed_trees.append(t)
         trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, ids))
         sol = tree_cut(stage, t, lam, k, trial, checked)
         ctx.stats["trees_evaluated"] += 1
@@ -360,13 +362,7 @@ def solve_with_stats(
         oracle = brute_min_kcut(g, k)
         stats["oracle_value"] = oracle.value
         stats["oracle_agrees"] = sol.value == oracle.value
-        tight = False
-        for ids in stats["packed_trees"]:
-            t = RootedTree.from_edge_ids(g, ids)
-            if is_tight(t, oracle.partition):
-                tight = True
-                break
-        stats["tight_tree_found"] = tight
+        stats["tight_tree_found"] = any(is_tight(t, oracle.partition) for t in ctx.packed_trees)
     return sol, stats
 
 

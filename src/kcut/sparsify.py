@@ -255,17 +255,16 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
         threshold = (params.passive_threshold if params.passive_threshold is not None
                      else 3 * params.alpha * delta / gamma)
         passive = {v for v in cur.vertices if is_super[v] and cur.degree(v) <= threshold}
-        incident = sum(1 for e in cur.edge_ids
-                       if passive & set(cur.endpoints(e)))
+        incident = sum(1 for u, v in cur.pairs if u in passive or v in passive)
         if incident >= STOP_FRACTION * m:
             break
         h = trim(remove_vertices(cur, passive), cur)
         cut_total = 0
         while True:
             found: List[FrozenSet[int]] = []
-            for block in connected_components(h).blocks:
-                if len(block) < 2:
-                    continue
+            # the blocks of the last pass, which finds no cut, are h's
+            blocks = [b for b in connected_components(h).blocks if len(b) >= 2]
+            for block in blocks:
                 sub, vmap = induced_subgraph(h, block)
                 hit = low_conductance_cut(sub, gamma)
                 if hit is not None:
@@ -277,13 +276,8 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
             removed = sorted(set().union(*found))
             cut_total += len(removed)
             h = trim(remove_edges(h, removed), cur)
-        cores = []
-        for block in connected_components(h).blocks:
-            if len(block) < 2:
-                continue
-            core = shave_scrap_core(block, h, cur, [not s for s in is_super])
-            if core:
-                cores.append(core)
+        regular = [not s for s in is_super]
+        cores = [c for c in (shave_scrap_core(b, h, cur, regular) for b in blocks) if c]
         marks = [min(core) for core in cores]
         labels, _ = union_find(cur.n, [(a, w) for a, core in zip(marks, cores) for w in core])
         step = ContractionMap(tuple(labels))

@@ -12,7 +12,8 @@ A cell with at most SWEEP_MAX_SUBSETS deletion sets skips the trial
 machinery and enumerates them outright, scoring each set against bitmasks
 of the tree paths the graph's edges span; `tree_cut` does so at the root
 whenever the tree's non-safe edges qualify, without filling any state or
-contracting the safe edges.
+contracting the safe edges.  Otherwise it contracts that same safe set in
+the graph and the tree, and fills the states of the contraction.
 """
 
 from __future__ import annotations
@@ -672,9 +673,10 @@ def safe_tree_edges(
 
     If the cheapest way to separate a tree edge's endpoints costs more
     than lam, no k-cut of value at most lam separates them either, so the
-    edge can be contracted in both the graph and the tree.  Contracting
-    such edges keeps every cut of value at most lam, so no other edge's
-    status changes: one pass over the tree edges finds them all.
+    edge can be contracted in both the graph and the tree (`tree_quotient`,
+    then `quotient` through its map).  Contracting such edges keeps every
+    cut of value at most lam, so no other edge's status changes: one pass
+    over the tree edges finds them all, and `tree_cut` makes it once.
 
     `checked` maps a vertex pair (smaller first) to that answer; callers
     that check several trees of one graph at one lam share it.
@@ -694,17 +696,6 @@ def safe_tree_edges(
     return frozenset(safe)
 
 
-def contract_safe_edges(
-    g: MultiGraph, t: RootedTree, lam: int, checked: Optional[Dict[Tuple[int, int], bool]] = None
-) -> Tuple[MultiGraph, RootedTree, ContractionMap]:
-    """Contract the `safe_tree_edges` in both the graph and the tree."""
-    safe = safe_tree_edges(g, t, lam, checked)
-    if not safe:
-        return g, t, ContractionMap.identity(g.n)
-    t2, cmap = tree_quotient(t, safe)
-    return quotient(g, cmap), t2, cmap
-
-
 def tree_cut(
     g: MultiGraph,
     t: RootedTree,
@@ -720,8 +711,8 @@ def tree_cut(
     at most lam, exhaustive trials recover that minimum exactly.  If at
     most SWEEP_MAX_SUBSETS sets of k-1 edges avoid the `safe_tree_edges`,
     they are swept at the root alone, on the uncontracted tree; otherwise
-    the DP runs with the safe edges contracted.  `checked` is the safe-edge
-    cache, as in `safe_tree_edges`; the DP path's second pass only reads it.
+    the DP runs with that same safe set contracted.  `checked` is the
+    safe-edge cache, as in `safe_tree_edges`.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -730,7 +721,6 @@ def tree_cut(
     if k == 1:
         p = Partition([set(g.vertices)])
         return KCutSolution(0, p, frozenset(), "treecut")
-    checked = {} if checked is None else checked
     safe = safe_tree_edges(g, t, lam, checked)
     if t.n - len(safe) < k:
         # no k-cut costs at most lam: lam is below this stage's optimum;
@@ -740,9 +730,8 @@ def tree_cut(
     if math.comb(t.n - 1 - len(safe), k - 1) <= SWEEP_MAX_SUBSETS:
         original = forest_components(t, _sweep_cell(g, t, k, safe)[1])
     else:
-        work_g, work_t, cmap = (contract_safe_edges(g, t, lam, checked) if safe
-                                else (g, t, ContractionMap.identity(g.n)))
-        cert = fill_states(work_g, work_t, k, lam, config)[work_t.root, k][1]
+        work_t, cmap = tree_quotient(t, safe)
+        cert = fill_states(quotient(g, cmap), work_t, k, lam, config)[work_t.root, k][1]
         if cert is None:
             raise Infeasible("no feasible deletion found")
         original = pull_back(forest_components(work_t, cert), cmap, g.n)

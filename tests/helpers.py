@@ -1,6 +1,7 @@
 """Small graph constructions shared across the test modules."""
 
 import random
+from collections import deque
 
 from kcut.graph import KCutSolution, MultiGraph, Partition, cut_edge_set
 
@@ -24,6 +25,13 @@ def complete_graph(n):
 def star_graph(n):
     """Center 0 joined to 1..n-1."""
     return from_pairs(n, [(0, i) for i in range(1, n)])
+
+
+def clique_on_a_cycle():
+    """K8 on 0..7 whose vertex 7 also lies on a 21-cycle through 8..27."""
+    ring = [7] + list(range(8, 28))
+    return from_pairs(28, list(complete_graph(8).pairs)
+                      + [(ring[i], ring[(i + 1) % 21]) for i in range(21)])
 
 
 def random_simple_graph(rng: random.Random, n, p):
@@ -126,3 +134,26 @@ def random_connected_multigraph(rng: random.Random, n, extra):
             pairs.append((u, v))
     rng.shuffle(pairs)
     return from_pairs(n, pairs)
+
+
+def reference_components(g):
+    """Connected components by breadth-first search from each unreached vertex."""
+    if g.n == 0:
+        raise ValueError("empty graph has no component structure")
+    seen = [False] * g.n
+    blocks = []
+    for s in g.vertices:
+        if seen[s]:
+            continue
+        comp, q = [], deque([s])
+        seen[s] = True
+        while q:
+            x = q.popleft()
+            comp.append(x)
+            for e in g.incident(x):
+                y = g.other(e, x)
+                if not seen[y]:
+                    seen[y] = True
+                    q.append(y)
+        blocks.append(comp)
+    return Partition(blocks)

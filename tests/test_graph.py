@@ -20,7 +20,14 @@ from kcut.graph import (
     quotient,
     union_find,
 )
-from helpers import complete_graph, cycle_graph, from_pairs, path_graph, random_multigraph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    from_pairs,
+    path_graph,
+    random_multigraph,
+    reference_components,
+)
 
 
 def merge(g, *pairs):
@@ -156,6 +163,23 @@ def test_connected_components_examples():
     two_edges = from_pairs(4, [(0, 1), (2, 3)])
     assert connected_components(two_edges) == Partition([{0, 1}, {2, 3}])
     assert connected_components(MultiGraph(3, [])).k == 3
+    parallel = from_pairs(5, [(3, 1), (1, 3), (4, 1), (3, 1)])  # vertices 0 and 2 isolated
+    assert connected_components(parallel) == Partition([{0}, {1, 3, 4}, {2}])
+    with pytest.raises(ValueError):
+        connected_components(MultiGraph(0, []))
+
+
+@st.composite
+def sparse_multigraphs(draw):
+    """1 to 12 vertices and up to 2n random edges: isolated vertices and parallels are common."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=0, max_value=2 * n if n > 1 else 0))
+    return random_multigraph(random.Random(draw(st.integers(0, 10**6))), n, m)
+
+
+@given(sparse_multigraphs())
+def test_connected_components_matches_breadth_first_search(g):
+    assert connected_components(g) == reference_components(g)
 
 
 def test_contraction_map_composes():

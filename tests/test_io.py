@@ -17,6 +17,7 @@ from kcut.io import (
 )
 
 from helpers import (
+    clique_on_a_cycle,
     complete_graph,
     cycle_graph,
     from_pairs,
@@ -356,6 +357,29 @@ class TestCli:
             first = capsys.readouterr().out
             assert run_cli(argv + ["--no-timing", path]) == 0
             assert capsys.readouterr().out == first
+
+    def test_treecut_pinned_through_the_state_table_with_nothing_safe(
+            self, tmp_path, capsys, monkeypatch):
+        # lam = 4^2 * 2 = 32 exceeds every tree edge's s-t cut, so no edge is
+        # safe, and C(27, 3) > SWEEP_MAX_SUBSETS sends the tree to the DP
+        import kcut.treecut as treecut
+        seen = {"safe_tree_edges": [], "fill_states": []}
+        for name, calls in seen.items():
+            def spy(*args, real=getattr(treecut, name), calls=calls):
+                calls.append(real(*args))
+                return calls[-1]
+            monkeypatch.setattr(treecut, name, spy)
+        path = write(tmp_path, "k8c21.txt", serialize_graph(clique_on_a_cycle()))
+        assert run_cli(["treecut", "--k", "4", "--seed", "2", "--no-timing", path]) == 0
+        assert seen["safe_tree_edges"] == [frozenset()] and len(seen["fill_states"]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "treecut", "instance": {"k": 4, "m": 49, "n": 28, "seed": 2}, "schema": 1,
+            "solution": {
+                "blocks": [[str(v) for v in range(7)], ["7"], ["8"], [str(v) for v in range(9, 28)]],
+                "cut_edges": [6, 12, 17, 21, 24, 26, 27, 28, 29, 48],
+                "provenance": "treecut", "value": 10},
+            "stats": {"lambda": 32, "tree_edges": list(range(7)) + list(range(28, 48)),
+                      "trials": 16}}
 
     def test_sparsify(self, tmp_path, capsys, monkeypatch):
         import kcut.sparsify

@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 from kcut.errors import Infeasible
 from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph, is_simple
 from kcut.oracles import OracleBudget, brute_min_kcut
+from kcut.packing import is_tight
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats, tree_count
 import kcut.solver as solver
 import kcut.treecut as treecut
+from kcut.tree import RootedTree
 from kcut.treecut import TrialConfig
 
 from helpers import (
     complete_graph,
     from_pairs,
     random_connected_graph,
+    random_connected_multigraph,
     random_multigraph,
     random_simple_graph,
     star_graph,
@@ -142,6 +145,24 @@ class TestModes:
         # every spanning tree uses the bridge exactly once, so tightness
         # against the optimum is guaranteed
         assert stats["tight_tree_found"] is True
+
+    def test_tight_tree_found_matches_the_recorded_trees(self):
+        # reference: rebuild each tree from its recorded ids; the first tree
+        # alone is tight in some cases, so every recorded tree must be read
+        rng = random.Random(5)
+        first_only = 0
+        for _ in range(60):
+            n = rng.randrange(3, 9)
+            g = random_connected_multigraph(rng, n, rng.randrange(0, 10))
+            k = rng.randrange(2, min(4, n) + 1)
+            _, stats = solve_with_stats(g, k)
+            best = brute_min_kcut(g, k).partition
+            flags = [is_tight(RootedTree.from_edge_ids(g, ids), best) for ids in stats["packed_trees"]]
+            assert stats["tight_tree_found"] is any(flags)
+            first_only += flags[:1] == [True] and not any(flags[1:])
+        assert first_only >= 3
+        _, stats = solve_with_stats(two_triangles(), 2)  # disconnected: nothing packed
+        assert stats["packed_trees"] == [] and stats["tight_tree_found"] is False
 
 
 class TestSparsifierGate:

@@ -229,6 +229,18 @@ def test_kt_guard_exit_after_one_round():
     assert res.iterations[0].supervertices_after == 2
 
 
+def test_kt_stop_rule_counts_edges_with_one_passive_end():
+    # three K20s hang off vertex 60; carving cuts two of its edges, so trim
+    # drops it and it stays regular.  Every edge left then runs from it to a
+    # passive supervertex, which stops the loop after one record.
+    g = from_pairs(61, [(b + i, b + j) for b in (0, 20, 40) for i in range(20)
+                        for j in range(i + 1, 20)] + [(60, 0), (60, 20), (60, 40)])
+    res = kt_sparsify(g, KTParams(alpha=1, gamma=Fraction(1, 20)))
+    assert list(res.map.mapping) == [0] * 20 + [1] * 20 + [2] * 20 + [3]
+    assert [(it.edges_before, it.edges_after, it.cut_edges, it.supervertices_after, it.cores)
+            for it in res.iterations] == [(573, 3, 2, 3, 3)]
+
+
 def test_kt_statistics_monotone():
     g = complete_graph(9)
     res = kt_sparsify(g, KTParams(alpha=1))

@@ -35,7 +35,6 @@ from kcut.treecut import (
     all_colorings,
     build_gprime,
     contract_branches,
-    contract_safe_edges,
     derived_rng,
     eval_f,
     eval_f_budgets,
@@ -44,10 +43,12 @@ from kcut.treecut import (
     fill_states,
     group_components,
     incomparable_edges,
+    safe_tree_edges,
     tree_cut,
 )
 
 from helpers import (
+    clique_on_a_cycle,
     complete_graph,
     cycle_graph,
     from_pairs,
@@ -113,11 +114,17 @@ def identity_setting(g, t, green=frozenset()):
     return TrialSetting(g, t, t, ContractionMap.identity(t.n), Coloring(eprime, frozenset(green)), eprime)
 
 
+def safe_quotient(g, t, lam):
+    """Graph, tree and map with the `safe_tree_edges` contracted, as on tree_cut's DP path."""
+    t2, cmap = tree_quotient(t, safe_tree_edges(g, t, lam))
+    return quotient(g, cmap), t2, cmap
+
+
 class TestContractSafeEdges:
     def test_k5_collapses_entirely(self):
         g = complete_graph(5)
         t = RootedTree.bfs_spanning(g)
-        g2, t2, cmap = contract_safe_edges(g, t, 2)
+        g2, t2, cmap = safe_quotient(g, t, 2)
         assert g2.n == 1
         assert t2.n == 1
         assert all(cmap.apply(v) == 0 for v in range(5))
@@ -125,7 +132,7 @@ class TestContractSafeEdges:
     def test_two_triangles_bridge_lambda_one(self):
         g = two_triangles_bridge()
         t = spanning_path(g, [0, 1, 2, 3, 4, 5])
-        g2, t2, cmap = contract_safe_edges(g, t, 1)
+        g2, t2, cmap = safe_quotient(g, t, 1)
         # triangle edges have a 2-edge cut, the bridge only 1: triangles
         # collapse, the bridge survives
         assert g2.n == 2
@@ -138,13 +145,13 @@ class TestContractSafeEdges:
         for eid in t.edge_ids:
             u, v = g.endpoints(eid)
             assert min_st_cut(g, u, v)[0] <= 2  # no edge is safe at this budget
-        g2, _, _ = contract_safe_edges(g, t, 2)
+        g2, _, _ = safe_quotient(g, t, 2)
         assert g2.n == 6 and g2.m == g.m
 
     def test_big_lambda_contracts_nothing(self):
         g = complete_graph(5)
         t = RootedTree.bfs_spanning(g)
-        g2, _, _ = contract_safe_edges(g, t, 10)
+        g2, _, _ = safe_quotient(g, t, 10)
         assert g2.n == 5 and g2.m == g.m
 
     def test_agrees_with_per_edge_cut_oracle(self):
@@ -153,7 +160,7 @@ class TestContractSafeEdges:
             g = random_connected_graph(rng, rng.randrange(4, 8), rng.randrange(0, 5))
             t = random_spanning_tree(rng, g)
             lam = rng.randrange(1, 5)
-            g2, t2, cmap = contract_safe_edges(g, t, lam)
+            g2, t2, cmap = safe_quotient(g, t, lam)
             for eid in t2.edge_ids:
                 u, v = g2.endpoints(eid)
                 assert min_st_cut(g2, u, v)[0] <= lam
@@ -195,8 +202,9 @@ class TestContractSafeEdgesReference:
             delta = g.min_degree()
             for t in greedy_tree_packing(g, 3).trees:
                 for lam in sorted({1, 2, 3, delta, 4 * delta}):
-                    g2, t2, cmap = contract_safe_edges(g, t, lam)
+                    g2, t2, cmap = safe_quotient(g, t, lam)
                     r_g, r_t, r_map = reference_contract_safe_edges(g, t, lam)
+                    assert safe_tree_edges(g, t, lam) == t.edge_ids - r_t.edge_ids
                     assert g2 == r_g
                     assert (t2.n, t2.root, sorted(t2.edges())) == \
                         (r_t.n, r_t.root, sorted(r_t.edges()))
@@ -905,7 +913,7 @@ class TestTreeCut:
         # contraction leaves fewer than k vertices
         g = from_pairs(13, list(complete_graph(12).pairs) + [(0, 12)])
         t = greedy_tree_packing(g, 1).trees[0]
-        assert contract_safe_edges(g, t, 9)[0].n < 3
+        assert safe_quotient(g, t, 9)[0].n < 3
         sol = tree_cut(g, t, 9, 3, EXH)
         assert sol.partition.k == 3 and cut_value(g, sol.partition) == sol.value
         assert sol.value == brute_tree_kcut(g, t, 3).value == 12
@@ -1018,7 +1026,7 @@ class TestTreeCut:
         assert sol.value == value
         assert sorted(sol.cut_edges) == cut
         # nothing is safe to contract here, so these are the cells tree_cut filled
-        assert contract_safe_edges(g, t, lam)[0].n == n
+        assert safe_quotient(g, t, lam)[0].n == n
         states = fill_states(g, t, 5, lam, cfg)
         assert any(states[x, 4][0] < INF for x in t.order if x != t.root)
 
@@ -1038,7 +1046,7 @@ def reference_tree_cut(g, t, lam, k, config):
     Sweeps or fills the contraction, then pulls the deletion's partition
     back to g; returns (value, partition, cut edges).
     """
-    work_g, work_t, cmap = contract_safe_edges(g, t, lam)
+    work_g, work_t, cmap = safe_quotient(g, t, lam)
     if work_g.n < k:
         work_g, work_t, cmap = g, t, ContractionMap.identity(g.n)
     if math.comb(work_t.n - 1, k - 1) <= treecut.SWEEP_MAX_SUBSETS:
@@ -1087,7 +1095,7 @@ class TestTreeCutReference:
             sol = tree_cut(g, t, lam, k, EXH)
             assert (sol.value, sol.partition, sol.cut_edges) == \
                 reference_tree_cut(g, t, lam, k, EXH)
-            left = contract_safe_edges(g, t, lam)[0].n
+            left = safe_quotient(g, t, lam)[0].n
             fell_back += left < k
             contracted += k <= left < n
             whole += left == n
@@ -1125,10 +1133,28 @@ class TestTreeCutReference:
             sol = tree_cut(g, t, lam, k, cfg)
             assert (sol.value, sol.partition, sol.cut_edges) == \
                 reference_tree_cut(g, t, lam, k, cfg)
-            left = contract_safe_edges(g, t, lam)[0].n
+            left = safe_quotient(g, t, lam)[0].n
             fell_back += left < k
             contracted += k <= left < n
         assert fell_back >= 3 and contracted >= 3
+
+
+    def test_state_table_path_checks_each_tree_edge_once(self, monkeypatch):
+        # K8's 7 tree edges are safe at lam=5 and the 20 cycle edges are not;
+        # C(20, 3) > SWEEP_MAX_SUBSETS, so the DP fills the 21-vertex contraction
+        g = clique_on_a_cycle()
+        t = greedy_tree_packing(g, 1).trees[0]
+        seen = {"safe_tree_edges": [], "fill_states": []}
+        for name, calls in seen.items():
+            def spy(*args, real=getattr(treecut, name), calls=calls):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(treecut, name, spy)
+        sol = tree_cut(g, t, 5, 4, TrialConfig(seed=1))
+        assert len(seen["safe_tree_edges"]) == len(seen["fill_states"]) == 1
+        work_g, work_t = seen["fill_states"][0][:2]
+        assert work_g.n == work_t.n == 21
+        assert sol.value == 4 and sol.partition.k == 4
 
 
 class TestHLDExamples:
