@@ -133,7 +133,7 @@ def _cmd_solve(args) -> dict:
     payload = {key: stats[key] for key in (
         "mode", "cells", "sparsified_cells", "trees_packed", "trees_evaluated",
         "ni_edges", "kt_iterations", "oracle_value", "oracle_agrees",
-        "tight_tree_found")}
+        "tight_tree_found", "lower_bound", "gap", "certified")}
     payload["trials"] = cfg.trial.trials
     return build_report("solve", n=g.n, m=g.m, k=k, seed=cfg.trial.seed,
                         solution=solution_payload(g, labels, sol), stats=payload,

@@ -332,3 +332,27 @@ def min_st_cut(
             y = x
         flow += 1
     return flow, frozenset(side)
+
+
+def gomory_hu(g: MultiGraph) -> Tuple[List[int], List[int]]:
+    """A Gomory-Hu tree of g from Gusfield's n-1 `min_st_cut` calls, rooted at 0.
+
+    Returns (parent, weight): vertex v > 0 hangs from parent[v] by an edge
+    of weight weight[v] (both 0 at the root), and the minimum cut between
+    two vertices, 0 across components, is the lightest on their tree path.
+    """
+    parent = [0] * g.n
+    weight = [0] * g.n
+    for s in range(1, g.n):
+        t = parent[s]
+        flow, side = min_st_cut(g, s, t)
+        weight[s] = flow
+        for v in side:
+            if v != s and parent[v] == t:
+                parent[v] = s
+        # when t's parent lies on s's side, s moves in between them (never
+        # at the root, which is its own parent)
+        if parent[t] in side:
+            parent[s], parent[t] = parent[t], s
+            weight[s], weight[t] = weight[t], flow
+    return parent, weight

@@ -14,16 +14,19 @@ may run on it: the sparsifier gate fires or the cell has at most
 TREECUT_MAX_N vertices.  Both paths produce feasible cuts scored against
 the real graph, so the returned minimum is always an upper bound on the
 optimum and matches it whenever either path can express an optimal
-partition.  A cell holds only its value, blocks (kept as masks) and
-provenance; the answer's partition and cut edges are built once, from
-the top cell's blocks.
+partition.  A tree stage first takes its graph's Gomory-Hu lower bound:
+when the incumbent already meets it, no tree cut can beat it and nothing
+is packed (unless the oracle cross-check reads the trees); otherwise the
+scan stops at the first tree cut that meets it.  A cell holds only its
+value, blocks (kept as masks) and provenance; the answer's partition and
+cut edges are built once, from the top cell's blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import Infeasible
 from .graph import (
@@ -34,14 +37,17 @@ from .graph import (
     connected_components,
     cut_edge_set,
     cut_value,
+    gomory_hu,
     induced_subgraph,
     pull_back,
 )
 from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing, is_tight
-from .sparsify import KTParams, KTResult, kt_sparsify, ni_sparsify
 from .tree import RootedTree
 from .treecut import TrialConfig, derived_seed, tree_cut
+
+if TYPE_CHECKING:
+    from .sparsify import KTResult
 
 MODES = ("auto", "treecut_only")
 KT_CONSTANT = 4.0  # scales the minimum-degree gate in front of the sparsifier
@@ -273,6 +279,8 @@ def sparsify_for_k(g: MultiGraph, k: int) -> Tuple[int, MultiGraph, KTResult]:
     KT then contracts with alpha = k^2.  Returns the forest count, NI's
     subgraph and KT's result.
     """
+    from .sparsify import KTParams, kt_sparsify, ni_sparsify  # loaded here only: `import kcut` skips it
+
     forests = max(nontrivial_bound(g, k), 1)
     ni = g if _ni_keeps_every_edge(g, forests) else ni_sparsify(g, forests).subgraph
     return forests, ni, kt_sparsify(ni, KTParams(alpha=k * k))
@@ -298,11 +306,24 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT.
 
     sub is the input induced on alive, whose vertex i is order[i]; the
-    cell's blocks are masks of input ids.
+    cell's blocks are masks of input ids.  No tree cut, a k-cut of the
+    stage, is worth less than the stage's Gomory-Hu bound: once lam or a
+    tree's cut meets it, no further tree is cut, and lam at the bound
+    packs nothing unless the oracle cross-check reads the trees.
     """
     cfg = ctx.config
-    at_top = alive == ctx.top_alive
     if stage.n < max(k, 2) or stage.n > TREECUT_MAX_N:
+        return None
+    # no k-cut of the stage is worth less than bound: each of its k blocks
+    # has a boundary of at least the lightest Gomory-Hu weight, and the k-1
+    # lightest weights sum to at most 2 - 2/k times the optimum (Saran and
+    # Vazirani, 1995)
+    weights = sorted(gomory_hu(stage)[1][1:])
+    bound = max(-(-k * weights[0] // 2), -(-k * sum(weights[:k - 1]) // (2 * k - 2)))
+    whole_input = alive == ctx.top_alive and kt_map is None  # the stage is the input
+    if whole_input:
+        ctx.stats["lower_bound"] = bound
+    if lam <= bound and not (whole_input and cfg.mode == "auto" and stage.n <= ORACLE_MAX_N):
         return None
     count = tree_count(k, stage.n)
     pack = greedy_tree_packing(stage, count)
@@ -311,9 +332,13 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     checked: Dict[Tuple[int, int], bool] = {}  # safe-edge answers, shared by every tree
     for t in dict.fromkeys(pack.trees):  # the packing shares one object per edge set
         ids = tuple(sorted(t.edge_ids))
-        if at_top and kt_map is None:
+        if whole_input:
             ctx.stats["packed_trees"].append(ids)
             ctx.packed_trees.append(t)
+        if lam <= bound or best is not None and best[0] <= bound:
+            if whole_input:
+                continue  # the rest of the trees are still recorded
+            break
         trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, ids))
         sol = tree_cut(stage, t, lam, k, trial, checked)
         ctx.stats["trees_evaluated"] += 1
@@ -343,6 +368,9 @@ def _fresh_stats(config: SolverConfig) -> dict:
         "oracle_value": None,
         "oracle_agrees": None,
         "tight_tree_found": None,
+        "lower_bound": None,
+        "gap": None,
+        "certified": None,
     }
 
 
@@ -358,6 +386,9 @@ def solve_with_stats(
     partition = Partition([v for v in g.vertices if b >> v & 1] for b in blocks)
     assert value == cut_value(g, partition)
     sol = KCutSolution(value, partition, cut_edge_set(g, partition), provenance)
+    if stats["lower_bound"] is not None:
+        stats["gap"] = value - stats["lower_bound"]
+        stats["certified"] = stats["gap"] == 0
     if config.mode == "auto" and g.n <= ORACLE_MAX_N:
         oracle = brute_min_kcut(g, k)
         stats["oracle_value"] = oracle.value

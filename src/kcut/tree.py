@@ -84,25 +84,6 @@ class RootedTree:
     def from_edge_ids(cls, g: MultiGraph, ids: Iterable[int], root: int = 0) -> "RootedTree":
         return cls(g.n, root, [(e, *g.endpoints(e)) for e in ids])
 
-    @classmethod
-    def bfs_spanning(cls, g: MultiGraph, root: int = 0) -> "RootedTree":
-        """Breadth-first spanning tree, lowest edge id wins at each vertex."""
-        from collections import deque
-
-        seen = [False] * g.n
-        seen[root] = True
-        q = deque([root])
-        edges = []
-        while q:
-            x = q.popleft()
-            for eid in g.incident(x):
-                y = g.other(eid, x)
-                if not seen[y]:
-                    seen[y] = True
-                    edges.append((eid, x, y))
-                    q.append(y)
-        return cls(g.n, root, edges)
-
     def parent(self, v: int) -> Optional[int]:
         return self._parent[v]
 

@@ -4,6 +4,7 @@ import random
 from collections import deque
 
 from kcut.graph import KCutSolution, MultiGraph, Partition, cut_edge_set
+from kcut.tree import RootedTree
 
 
 def from_pairs(n, pairs):
@@ -32,6 +33,23 @@ def clique_on_a_cycle():
     ring = [7] + list(range(8, 28))
     return from_pairs(28, list(complete_graph(8).pairs)
                       + [(ring[i], ring[(i + 1) % 21]) for i in range(21)])
+
+
+def bfs_spanning(g, root=0):
+    """Breadth-first spanning tree, lowest edge id wins at each vertex."""
+    seen = [False] * g.n
+    seen[root] = True
+    q = deque([root])
+    edges = []
+    while q:
+        x = q.popleft()
+        for eid in g.incident(x):
+            y = g.other(eid, x)
+            if not seen[y]:
+                seen[y] = True
+                edges.append((eid, x, y))
+                q.append(y)
+    return RootedTree(g.n, root, edges)
 
 
 def random_simple_graph(rng: random.Random, n, p):

@@ -25,9 +25,13 @@ def test_benchmark_names_stay_exported():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy serves only the sparsifier's spectral search, which imports it itself
+    # numpy serves only the sparsifier's spectral search, which imports it
+    # itself; the sparsifier in turn is loaded by the solver only when its
+    # gate first fires
     src = os.path.dirname(os.path.dirname(kcut.__file__))
-    code = "import sys, kcut; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    code = ("import sys, kcut\n"
+            "for name in ('numpy', 'kcut.sparsify'):\n"
+            "    assert name not in sys.modules, name + ' loaded'")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -1,4 +1,4 @@
-"""Multigraph core: union-find, quotient, cuts, boundaries, components, s-t cut."""
+"""Multigraph core: union-find, quotient, cuts, boundaries, components, s-t cut, Gomory-Hu tree."""
 
 import itertools
 import random
@@ -14,6 +14,7 @@ from kcut.graph import (
     connected_components,
     cut_edge_set,
     cut_value,
+    gomory_hu,
     induced_subgraph,
     min_st_cut,
     pull_back,
@@ -25,6 +26,7 @@ from helpers import (
     cycle_graph,
     from_pairs,
     path_graph,
+    random_connected_multigraph,
     random_multigraph,
     reference_components,
 )
@@ -170,9 +172,9 @@ def test_connected_components_examples():
 
 
 @st.composite
-def sparse_multigraphs(draw):
-    """1 to 12 vertices and up to 2n random edges: isolated vertices and parallels are common."""
-    n = draw(st.integers(min_value=1, max_value=12))
+def sparse_multigraphs(draw, max_n=12):
+    """1 to max_n vertices and up to 2n random edges: isolated vertices and parallels are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=2 * n if n > 1 else 0))
     return random_multigraph(random.Random(draw(st.integers(0, 10**6))), n, m)
 
@@ -374,3 +376,56 @@ def test_partition_normalizes_block_order():
 def test_identity_map():
     m = ContractionMap.identity(3)
     assert [m.apply(v) for v in range(3)] == [0, 1, 2]
+
+
+def to_root(parent, x):
+    """x and its ancestors, up to the root 0, in the tree that hangs v from parent[v]."""
+    path = [x]
+    while path[-1] != 0:
+        path.append(parent[path[-1]])
+        assert len(path) <= len(parent), "parent pointers form a cycle"
+    return path
+
+
+@given(sparse_multigraphs(max_n=10))
+def test_gomory_hu_path_minima_are_the_min_st_cuts(g):
+    parent, weight = gomory_hu(g)
+    assert len(parent) == len(weight) == g.n and parent[0] == weight[0] == 0
+    paths = [to_root(parent, v) for v in g.vertices]
+    for u, v in itertools.combinations(range(g.n), 2):
+        shared = set(paths[u]) & set(paths[v])
+        lightest = min(weight[x] for x in paths[u] + paths[v] if x not in shared)
+        assert lightest == min_st_cut(g, u, v)[0]
+    # and each tree edge's two sides are a cut of its weight in g
+    for v in range(1, g.n):
+        below = {x for x in g.vertices if v in paths[x]}
+        assert cut_value(g, Partition([below, set(g.vertices) - below])) == weight[v]
+
+
+def test_gomory_hu_examples():
+    assert gomory_hu(from_pairs(1, [])) == ([0], [0])
+    # two triangles joined by the bridge 2-3: one tree edge of weight 1,
+    # the rest 2
+    g = from_pairs(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+    assert sorted(gomory_hu(g)[1][1:]) == [1, 2, 2, 2, 2]
+    # apart, the triangles meet at weight 0
+    g = from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert sorted(gomory_hu(g)[1][1:]) == [0, 2, 2, 2, 2]
+
+
+def test_gomory_hu_weights_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        g = random_connected_multigraph(rng, n, rng.randint(0, 2 * n))
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        for u, v in g.pairs:
+            if h.has_edge(u, v):
+                h[u][v]["capacity"] += 1
+            else:
+                h.add_edge(u, v, capacity=1)
+        tree = nx.gomory_hu_tree(h)
+        expected = sorted(w for _, _, w in tree.edges(data="weight"))
+        assert sorted(gomory_hu(g)[1][1:]) == expected

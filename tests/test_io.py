@@ -206,6 +206,15 @@ class TestCli:
         assert report["instance"]["n"] == 8
         assert sorted(map(len, report["solution"]["blocks"])) == [4, 4]
 
+    def test_solve_reports_the_certified_bound(self, tmp_path, capsys):
+        # the bridge is the lightest Gomory-Hu edge, so the bound is 1 and
+        # the answer meets it
+        path = write(tmp_path, "bridge.txt", bridge_text())
+        code, report = run_json(capsys, ["solve", "--k", "2", "--no-timing", path])
+        assert code == 0
+        stats = report["stats"]
+        assert (stats["lower_bound"], stats["gap"], stats["certified"]) == (1, 0, True)
+
     def test_oracle_cycle(self, tmp_path, capsys):
         path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))
         code, report = run_json(capsys, ["oracle", "--k", "3", path])

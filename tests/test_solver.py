@@ -178,6 +178,81 @@ class TestSparsifierGate:
         assert stats["oracle_agrees"] is True
 
 
+class TestGomoryHuBound:
+    """The stage's Gomory-Hu bound: reported for the input's own stage, and it changes no answer."""
+
+    @staticmethod
+    def answer(g, k, mode="auto"):
+        sol, stats = solve_with_stats(g, k, SolverConfig(mode=mode))
+        return (sol.value, sorted(sorted(b) for b in sol.partition.blocks), sol.provenance,
+                stats["cells"]), stats
+
+    def test_bound_never_exceeds_the_oracle(self):
+        rng = random.Random(23)
+        certified = 0
+        for i in range(80):
+            n = rng.randrange(2, 11)
+            if i % 4:
+                g = random_connected_multigraph(rng, n, rng.randrange(0, 2 * n))
+            else:
+                g = random_multigraph(rng, n, rng.randrange(0, 3 * n))
+            k = rng.randrange(2, min(4, n) + 1)
+            sol, stats = solve_with_stats(g, k)
+            bound = stats["lower_bound"]
+            if bound is None:
+                assert stats["gap"] is None and stats["certified"] is None
+                continue
+            assert bound <= stats["oracle_value"] <= sol.value
+            assert stats["packed_trees"]  # packed for the cross-check, even when none is cut
+            assert stats["gap"] == sol.value - bound
+            assert stats["certified"] is (stats["gap"] == 0)
+            if stats["certified"]:
+                assert sol.value == stats["oracle_value"]
+            certified += stats["certified"]
+        assert certified >= 40
+
+    def test_bound_reported_only_for_the_input_stage(self, monkeypatch):
+        _, stats = solve_with_stats(two_k4_bridge(), 2)
+        assert (stats["lower_bound"], stats["gap"], stats["certified"]) == (1, 0, True)
+        unset = (None, None, None)
+        for g, k in [(two_triangles(), 2),  # disconnected
+                     (TestPinnedTrialCells.chained_cliques((12, 12, 12), 2), 3),  # over the cap
+                     (complete_graph(5), 1)]:  # no tree stage at k = 1
+            _, stats = solve_with_stats(g, k)
+            assert (stats["lower_bound"], stats["gap"], stats["certified"]) == unset
+        monkeypatch.setattr(solver, "KT_CONSTANT", 0.01)
+        _, stats = solve_with_stats(complete_graph(8), 2)  # sparsified
+        assert stats["sparsified_cells"] == 1
+        assert (stats["lower_bound"], stats["gap"], stats["certified"]) == unset
+
+    def test_skipped_trees_change_no_answer(self, monkeypatch):
+        rng = random.Random(31)
+        cases = []
+        for i in range(40):
+            n = rng.randrange(2, 17)
+            g = random_multigraph(rng, n, rng.randrange(0, 3 * n))
+            cases.append((g, rng.randrange(2, min(4, n) + 1), ("auto", "treecut_only")[i % 2]))
+        chain = TestPinnedTrialCells.chained_cliques
+        cases += [(chain(sizes, links), k, "auto") for sizes, links, k in [
+            ((5, 5, 4), 2, 3), ((6, 6, 6, 6), 2, 4), ((4, 4), 1, 2), ((7, 6, 5), 3, 2),
+            ((3, 3, 3), 1, 3)]]
+        cases.append((chain((90, 90), 2), 2, "auto"))  # the NI/KT gate fires
+        bounded = [self.answer(*case) for case in cases]
+        # all-zero weights make the bound 0, which no incumbent meets, so
+        # every stage packs and cuts every tree, as without the bound
+        monkeypatch.setattr(solver, "gomory_hu", lambda g: ([0] * g.n, [0] * g.n))
+        plain = [self.answer(*case) for case in cases]
+        assert [a for a, _ in bounded] == [a for a, _ in plain]
+        for (_, with_bound), (_, without) in zip(bounded, plain):
+            assert with_bound["trees_evaluated"] <= without["trees_evaluated"]
+            if with_bound["trees_packed"]:
+                assert with_bound["packed_trees"] == without["packed_trees"]
+        assert bounded[-1][1]["sparsified_cells"] == 1
+        assert bounded[-1][1]["lower_bound"] is None  # it bounds the contracted stage only
+        assert (bounded[-1][1]["trees_evaluated"], plain[-1][1]["trees_evaluated"]) == (1, 2)
+        assert sum(b["trees_evaluated"] for _, b in bounded) < sum(b["trees_evaluated"] for _, b in plain)
+
+
 class TestAgainstOracle:
     def test_sound_and_usually_exact(self):
         rng = random.Random(42)
@@ -248,8 +323,8 @@ class TestPinnedTrialCells:
     work the tree stage skips must not change them.  The tree stage runs
     once, in the top cell, with lambda = the branching incumbent.  The
     chain's 20 trees are swept at the root unless SWEEP_MAX_SUBSETS is 0;
-    gnm never runs trial cells, as lambda = 2 contracts every packed tree
-    below the sweep size.
+    its Gomory-Hu bound, 3, is below its optimum.  gnm cuts no tree: its
+    branching incumbent, 2, already meets its bound.
     """
 
     @staticmethod
@@ -270,7 +345,7 @@ class TestPinnedTrialCells:
         return from_pairs(base, pairs)
 
     @pytest.mark.parametrize("name, k, value, blocks, provenance, cells, trees", [
-        ("gnm", 2, 2, [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14], [11]], "branch", 2, 51),
+        ("gnm", 2, 2, [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14], [11]], "branch", 2, 0),
         ("chain", 3, 4, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11, 12, 13]], "treecut", 18, 20),
     ])
     def test_pinned(self, monkeypatch, name, k, value, blocks, provenance, cells, trees):

@@ -48,6 +48,7 @@ from kcut.treecut import (
 )
 
 from helpers import (
+    bfs_spanning,
     clique_on_a_cycle,
     complete_graph,
     cycle_graph,
@@ -123,7 +124,7 @@ def safe_quotient(g, t, lam):
 class TestContractSafeEdges:
     def test_k5_collapses_entirely(self):
         g = complete_graph(5)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         g2, t2, cmap = safe_quotient(g, t, 2)
         assert g2.n == 1
         assert t2.n == 1
@@ -150,7 +151,7 @@ class TestContractSafeEdges:
 
     def test_big_lambda_contracts_nothing(self):
         g = complete_graph(5)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         g2, _, _ = safe_quotient(g, t, 10)
         assert g2.n == 5 and g2.m == g.m
 
@@ -243,14 +244,14 @@ class TestColoring:
 class TestBranchContraction:
     def test_contract_nothing(self):
         g = path_graph(4)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         tp, cmap = contract_branches(t, build_hld(t), [])
         assert tp.n == 4
         assert [cmap.apply(v) for v in range(4)] == [0, 1, 2, 3]
 
     def test_contract_all_single_vertex(self):
         g = path_graph(4)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         hld = build_hld(t)
         assert hld.branch_count == 1
         tp, cmap = contract_branches(t, hld, [0])
@@ -258,7 +259,7 @@ class TestBranchContraction:
 
     def test_contract_one_of_two_branches(self):
         g, _ = spider(2, 2)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         hld = build_hld(t)
         assert hld.branch_count == 2
         chosen = hld.branch_id[t.parent_edge(1)]
@@ -297,7 +298,7 @@ class TestIncomparableEdges:
 class TestGroupComponents:
     def test_no_green_all_singletons(self):
         g, _ = spider(2, 2)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         s = identity_setting(g, t)
         cands = group_components(list(t.children(0)), s.coloring, s)
         assert [c.members for c in cands] == [(1,), (3,)]
@@ -334,7 +335,7 @@ class TestBuildGPrime:
 
     def test_edge_below_common_minelt_dropped(self):
         g = self.setup_instance()
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         s = identity_setting(g, t)
         u = CandidateSet((1,), frozenset({1}), frozenset())
         gp = build_gprime(s, u)
@@ -472,7 +473,7 @@ class TestClassifyReference:
 class TestEvalF:
     def test_edgeless_gprime_counts_b(self):
         g, _ = spider(1, 1, 1)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         s = identity_setting(g, t)
         u = CandidateSet((1,), frozenset(), frozenset())
         val, cert = eval_f(u, GPrime((), 3), s)
@@ -536,7 +537,7 @@ class TestEvalFP:
     def test_nested_budget_matches_ancestor_oracle(self):
         # one branch 1-2-3; give it budget 2 (sever the tip and one level up)
         g, _ = spider(3)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         states = fill_states(g, t, 3, 4, EXH)
         s = identity_setting(g, t)
         u = CandidateSet((1,), frozenset({3}), frozenset())
@@ -772,7 +773,7 @@ class TestKnapsack:
 class TestFillStates:
     def test_leaf_cells(self):
         g = path_graph(3)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         states = fill_states(g, t, 3, 2, EXH)
         leaf = 2
         assert states[leaf, 0][0] == 0
@@ -784,7 +785,7 @@ class TestFillStates:
 
     def test_path_split_in_two(self):
         g = path_graph(3)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         states = fill_states(g, t, 2, 2, EXH)
         value, cert = states[t.root, 2]
         assert value == 1
@@ -888,7 +889,7 @@ class TestScoreDeletion:
 class TestTreeCut:
     def test_path_three_parts(self):
         g = path_graph(5)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         sol = tree_cut(g, t, 8, 3, EXH)
         assert sol.value == 2
         assert sol.partition.k == 3
@@ -920,7 +921,7 @@ class TestTreeCut:
 
     def test_infeasible_part_count(self):
         g = path_graph(3)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         with pytest.raises(Infeasible):
             tree_cut(g, t, 4, 5, EXH)
 
@@ -965,14 +966,14 @@ class TestTreeCut:
         # 19 edges: C(18, 3) = 816 sets fit, C(19, 3) = 969 do not
         g = path_graph(20)
         assert math.comb(g.n - 1, 3) > treecut.SWEEP_MAX_SUBSETS
-        assert tree_cut(g, RootedTree.bfs_spanning(g), g.m, 4, EXH).value == 3
+        assert tree_cut(g, bfs_spanning(g), g.m, 4, EXH).value == 3
         assert filled == [g.n]
 
     def test_trials_only_path_and_cycle(self, monkeypatch):
         monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=3, trials="exhaustive")
         g = path_graph(5)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         assert tree_cut(g, t, 8, 3, cfg).value == 2
         g = cycle_graph(6)
         t = spanning_path(g, [0, 1, 2, 3, 4, 5])
@@ -1159,18 +1160,18 @@ class TestTreeCutReference:
 
 class TestHLDExamples:
     def test_path_single_branch(self):
-        t = RootedTree.bfs_spanning(path_graph(6))
+        t = bfs_spanning(path_graph(6))
         assert build_hld(t).branch_count == 1
 
     def test_star_one_branch_per_leaf(self):
         g = from_pairs(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         assert build_hld(t).branch_count == 4
 
     def test_complete_binary_tree_depth_three(self):
         edges = [(i, 2 * i + 1) for i in range(7)] + [(i, 2 * i + 2) for i in range(7)]
         g = from_pairs(15, edges)
-        t = RootedTree.bfs_spanning(g)
+        t = bfs_spanning(g)
         hld = build_hld(t)
         assert max(hld.branches_on_root_path(t, v) for v in range(15)) <= 3
 
@@ -1180,7 +1181,7 @@ class TestHLDExamples:
             n = rng.randrange(2, 257)
             edges = [(rng.randrange(0, v), v) for v in range(1, n)]
             g = from_pairs(n, edges)
-            t = RootedTree.bfs_spanning(g)
+            t = bfs_spanning(g)
             hld = build_hld(t)
             bound = math.ceil(math.log2(n)) + 1
             assert all(hld.branches_on_root_path(t, v) <= bound for v in range(n))
