@@ -272,18 +272,14 @@ def connected_components(g: MultiGraph) -> Partition:
     return Partition(blocks)
 
 
-def min_st_cut(
-    g: MultiGraph, s: int, t: int, limit: Optional[int] = None
-) -> Tuple[int, FrozenSet[int]]:
+def min_st_cut(g: MultiGraph, s: int, t: int) -> Tuple[int, FrozenSet[int]]:
     """Minimum number of edges separating s from t, with the s-side set.
 
     Unit capacity per edge record, so parallel edges add up.  The flow
     starts from every direct s-t edge and, through each common neighbour
     w, min(mult(s, w), mult(w, t)) s-w-t paths; BFS augmenting paths then
     walk the incidence lists, and the side is what the last search reached.
-    With a limit, the flow stops before any search once it reaches the
-    limit: a value at or above it then only says the minimum is at least
-    that large, and the side is not a cut.
+    Its one caller is `gomory_hu`.
     """
     if not (0 <= s < g.n and 0 <= t < g.n):
         raise ValueError("unknown endpoint for s-t cut")
@@ -310,8 +306,7 @@ def min_st_cut(
             send(spare[w].pop(), s)
             send(e, w)
             flow += 1
-    side: Iterable[int] = (s,)
-    while limit is None or flow < limit:
+    while True:
         parent: Dict[int, Optional[int]] = {s: None}
         q = deque([s])
         while q and t not in parent:
@@ -323,15 +318,13 @@ def min_st_cut(
                     parent[y] = e
                     q.append(y)
         if t not in parent:
-            side = parent
-            break
+            return flow, frozenset(parent)
         y = t
         while y != s:
             x = g.other(parent[y], y)
             send(parent[y], x)
             y = x
         flow += 1
-    return flow, frozenset(side)
 
 
 def gomory_hu(g: MultiGraph) -> Tuple[List[int], List[int]]:

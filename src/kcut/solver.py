@@ -302,6 +302,14 @@ def _stage(ctx, alive, order, sub, k: int, gate: bool) -> Tuple[MultiGraph, Opti
     return kt.contracted, kt.map
 
 
+def _stage_bound(weights: List[int], k: int) -> int:
+    """The k-cut lower bound of Saran and Vazirani (1995) from Gomory-Hu weights, k >= 2."""
+    # each of the k blocks has a boundary of at least the lightest weight,
+    # and the k-1 lightest weights sum to at most 2 - 2/k times the optimum
+    weights = sorted(weights)
+    return max(-(-k * weights[0] // 2), -(-k * sum(weights[:k - 1]) // (2 * k - 2)))
+
+
 def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Optional[Cell]:
     """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT.
 
@@ -309,17 +317,14 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     cell's blocks are masks of input ids.  No tree cut, a k-cut of the
     stage, is worth less than the stage's Gomory-Hu bound: once lam or a
     tree's cut meets it, no further tree is cut, and lam at the bound
-    packs nothing unless the oracle cross-check reads the trees.
+    packs nothing unless the oracle cross-check reads the trees.  Every
+    tree cut reads its safe edges off the same Gomory-Hu tree.
     """
     cfg = ctx.config
     if stage.n < max(k, 2) or stage.n > TREECUT_MAX_N:
         return None
-    # no k-cut of the stage is worth less than bound: each of its k blocks
-    # has a boundary of at least the lightest Gomory-Hu weight, and the k-1
-    # lightest weights sum to at most 2 - 2/k times the optimum (Saran and
-    # Vazirani, 1995)
-    weights = sorted(gomory_hu(stage)[1][1:])
-    bound = max(-(-k * weights[0] // 2), -(-k * sum(weights[:k - 1]) // (2 * k - 2)))
+    gh = gomory_hu(stage)
+    bound = _stage_bound(gh[1][1:], k)
     whole_input = alive == ctx.top_alive and kt_map is None  # the stage is the input
     if whole_input:
         ctx.stats["lower_bound"] = bound
@@ -329,7 +334,6 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     pack = greedy_tree_packing(stage, count)
     ctx.stats["trees_packed"] += count
     best = None
-    checked: Dict[Tuple[int, int], bool] = {}  # safe-edge answers, shared by every tree
     for t in dict.fromkeys(pack.trees):  # the packing shares one object per edge set
         ids = tuple(sorted(t.edge_ids))
         if whole_input:
@@ -340,7 +344,7 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
                 continue  # the rest of the trees are still recorded
             break
         trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, ids))
-        sol = tree_cut(stage, t, lam, k, trial, checked)
+        sol = tree_cut(stage, t, lam, k, trial, gh)
         ctx.stats["trees_evaluated"] += 1
         # tree_cut scored the cut on stage, which is sub unless KT contracted it
         part_local, value = sol.partition, sol.value

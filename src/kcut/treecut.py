@@ -12,8 +12,9 @@ A cell with at most SWEEP_MAX_SUBSETS deletion sets skips the trial
 machinery and enumerates them outright, scoring each set against bitmasks
 of the tree paths the graph's edges span; `tree_cut` does so at the root
 whenever the tree's non-safe edges qualify, without filling any state or
-contracting the safe edges.  Otherwise it contracts that same safe set in
-the graph and the tree, and fills the states of the contraction.
+contracting the safe edges (read off a Gomory-Hu tree).  Otherwise it
+contracts that same safe set in the graph and the tree, and fills the
+states of the contraction.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from .graph import (
     MultiGraph,
     Partition,
     cut_edge_set,
+    gomory_hu,
     induced_subgraph,
-    min_st_cut,
     pull_back,
     quotient,
     union_find,
@@ -667,33 +668,21 @@ def fill_states(
 
 
 def safe_tree_edges(
-    g: MultiGraph, t: RootedTree, lam: int, checked: Optional[Dict[Tuple[int, int], bool]] = None
+    g: MultiGraph, t: RootedTree, lam: int, gh: Optional[Tuple[List[int], List[int]]] = None
 ) -> FrozenSet[int]:
-    """Tree edges no small cut can cross.
+    """Tree edges no small cut can cross, read off gh, g's `gomory_hu` tree (built if None).
 
     If the cheapest way to separate a tree edge's endpoints costs more
     than lam, no k-cut of value at most lam separates them either, so the
     edge can be contracted in both the graph and the tree (`tree_quotient`,
-    then `quotient` through its map).  Contracting such edges keeps every
-    cut of value at most lam, so no other edge's status changes: one pass
-    over the tree edges finds them all, and `tree_cut` makes it once.
-
-    `checked` maps a vertex pair (smaller first) to that answer; callers
-    that check several trees of one graph at one lam share it.
+    then `quotient` through its map).  That cost is the lightest weight on
+    the ends' Gomory-Hu path, so the ends lie in one class of the Gomory-Hu
+    edges heavier than lam; every cut of value at most lam keeps each class
+    whole, so contracting them all at once keeps every such cut.
     """
-    checked = {} if checked is None else checked
-    safe = []
-    for eid in t.edge_ids:
-        u, v = g.endpoints(eid)
-        if min(g.degree(u), g.degree(v)) <= lam:
-            continue  # the cheap side already separates within budget
-        pair = (u, v) if u < v else (v, u)
-        exceeds = checked.get(pair)
-        if exceeds is None:
-            exceeds = checked[pair] = min_st_cut(g, u, v, limit=lam + 1)[0] > lam
-        if exceeds:
-            safe.append(eid)
-    return frozenset(safe)
+    parent, weight = gomory_hu(g) if gh is None else gh
+    labels = union_find(g.n, [(v, parent[v]) for v in range(1, g.n) if weight[v] > lam])[0]
+    return frozenset(e for e in t.edge_ids for u, v in [g.endpoints(e)] if labels[u] == labels[v])
 
 
 def tree_cut(
@@ -702,7 +691,7 @@ def tree_cut(
     lam: int,
     k: int,
     config: TrialConfig,
-    checked: Optional[Dict[Tuple[int, int], bool]] = None,
+    gh: Optional[Tuple[List[int], List[int]]] = None,
 ) -> KCutSolution:
     """Best k-cut found by deleting k-1 edges of the given spanning tree.
 
@@ -711,8 +700,8 @@ def tree_cut(
     at most lam, exhaustive trials recover that minimum exactly.  If at
     most SWEEP_MAX_SUBSETS sets of k-1 edges avoid the `safe_tree_edges`,
     they are swept at the root alone, on the uncontracted tree; otherwise
-    the DP runs with that same safe set contracted.  `checked` is the
-    safe-edge cache, as in `safe_tree_edges`.
+    the DP runs with that same safe set contracted.  gh is g's Gomory-Hu
+    tree, as in `safe_tree_edges`.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -721,7 +710,7 @@ def tree_cut(
     if k == 1:
         p = Partition([set(g.vertices)])
         return KCutSolution(0, p, frozenset(), "treecut")
-    safe = safe_tree_edges(g, t, lam, checked)
+    safe = safe_tree_edges(g, t, lam, gh)
     if t.n - len(safe) < k:
         # no k-cut costs at most lam: lam is below this stage's optimum;
         # fall back to the uncontracted tree, which always has k parts

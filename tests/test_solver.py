@@ -1,14 +1,16 @@
 """End-to-end solver checks against the exhaustive oracle."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcut.errors import Infeasible
+import kcut.graph as graph
 from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph, is_simple
-from kcut.oracles import OracleBudget, brute_min_kcut
-from kcut.packing import is_tight
+from kcut.oracles import OracleBudget, brute_min_kcut, brute_tree_kcut
+from kcut.packing import greedy_tree_packing, is_tight
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats, tree_count
 import kcut.solver as solver
 import kcut.treecut as treecut
@@ -238,9 +240,9 @@ class TestGomoryHuBound:
             ((3, 3, 3), 1, 3)]]
         cases.append((chain((90, 90), 2), 2, "auto"))  # the NI/KT gate fires
         bounded = [self.answer(*case) for case in cases]
-        # all-zero weights make the bound 0, which no incumbent meets, so
-        # every stage packs and cuts every tree, as without the bound
-        monkeypatch.setattr(solver, "gomory_hu", lambda g: ([0] * g.n, [0] * g.n))
+        # a bound of 0 is met by no incumbent, so every stage packs and cuts
+        # every tree, as without the bound
+        monkeypatch.setattr(solver, "_stage_bound", lambda weights, k: 0)
         plain = [self.answer(*case) for case in cases]
         assert [a for a, _ in bounded] == [a for a, _ in plain]
         for (_, with_bound), (_, without) in zip(bounded, plain):
@@ -470,24 +472,35 @@ class TestBranchingCells:
         assert min_kcut(g, 3).value == 4
         assert sizes and max(sizes) <= solver.TREECUT_MAX_N
 
-    def test_safe_edge_pairs_checked_once_per_stage(self, monkeypatch):
-        stages = []
-        real_stage, real_flow = solver._tree_stage, treecut.min_st_cut
+    def test_each_tree_stage_runs_only_its_gomory_hu_flows(self, monkeypatch):
+        # the stage's Gomory-Hu tree answers every tree cut's safe-edge
+        # question, so its n-1 flows are all the flows the stage runs
+        stages, callers, cuts = [], [], []
+        real_stage, real_cut, real_flow = solver._tree_stage, solver.tree_cut, graph.min_st_cut
 
-        def stage(*args):
-            stages.append([])
-            return real_stage(*args)
+        def stage(ctx, alive, sub, order, k, lam, staged, kt_map):
+            callers.clear()
+            cell = real_stage(ctx, alive, sub, order, k, lam, staged, kt_map)
+            stages.append((staged.n, list(callers)))
+            return cell
 
-        def flow(g, s, t, limit=None):
-            stages[-1].append(frozenset((s, t)))
-            return real_flow(g, s, t, limit)
+        def cut(g, t, lam, k, config, gh):
+            before = len(callers)
+            sol = real_cut(g, t, lam, k, config, gh)
+            cuts.append(len(callers) - before)
+            return sol
+
+        def flow(g, s, t):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_flow(g, s, t)
 
         monkeypatch.setattr(solver, "_tree_stage", stage)
-        monkeypatch.setattr(treecut, "min_st_cut", flow)
-        solve_with_stats(TestPinnedTrialCells.chained_cliques((5, 5, 4), 2), 3)
-        assert any(stages)
-        for pairs in stages:
-            assert len(pairs) == len(set(pairs))
+        monkeypatch.setattr(solver, "tree_cut", cut)
+        monkeypatch.setattr(graph, "min_st_cut", flow)
+        _, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques((5, 5, 4), 2), 3)
+        assert stats["trees_evaluated"] == len(cuts) == 20
+        assert cuts == [0] * 20  # given the Gomory-Hu tree, tree_cut runs no flow
+        assert stages == [(14, ["gomory_hu"] * 13)]  # one stage, the whole input
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -507,3 +520,25 @@ class TestBranchingCells:
             sum(1 << order[x] for x in b) for b in connected_components(sub).blocks]
         assert ctx.degrees(alive, order) == [sub.degree(vmap[v]) for v in order]
         assert ctx.simple(alive, order) == is_simple(sub)
+
+
+class TestKnownDefects:
+    """The ROADMAP's known wrong answers, pinned so that the change mending one must flip it."""
+
+    @pytest.mark.xfail(reason="D1: above TREECUT_MAX_N only branching runs")
+    @pytest.mark.parametrize("sizes, links, k, optimum", [
+        ((17, 17), 3, 2, 3),  # returns 16
+        ((12, 12, 12, 12), 2, 4, 6),  # returns 23
+    ])
+    def test_d1_chained_cliques_above_the_tree_stage_cap(self, sizes, links, k, optimum):
+        assert min_kcut(TestPinnedTrialCells.chained_cliques(sizes, links), k).value == optimum
+
+    @pytest.mark.xfail(reason="D2: _classify counts an edge inside one piece as cut")
+    @pytest.mark.parametrize("trials", [16, "exhaustive"])
+    def test_d2_tree_dp_overcharges(self, monkeypatch, trials):
+        g = TestPinnedTrialCells.chained_cliques((8, 8, 8), 3)
+        t = greedy_tree_packing(g, 4).trees[0]
+        monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)  # the sweep finds the optimum
+        # 13 against 6
+        assert treecut.tree_cut(g, t, 63, 3, TrialConfig(trials=trials)).value == \
+            brute_tree_kcut(g, t, 3).value

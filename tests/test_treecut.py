@@ -11,6 +11,7 @@ from kcut.graph import (
     MultiGraph,
     cut_edge_set,
     cut_value,
+    gomory_hu,
     min_st_cut,
     pull_back,
     quotient,
@@ -205,7 +206,9 @@ class TestContractSafeEdgesReference:
                 for lam in sorted({1, 2, 3, delta, 4 * delta}):
                     g2, t2, cmap = safe_quotient(g, t, lam)
                     r_g, r_t, r_map = reference_contract_safe_edges(g, t, lam)
-                    assert safe_tree_edges(g, t, lam) == t.edge_ids - r_t.edge_ids
+                    safe = t.edge_ids - r_t.edge_ids
+                    assert safe_tree_edges(g, t, lam) == safe
+                    assert safe_tree_edges(g, t, lam, gomory_hu(g)) == safe
                     assert g2 == r_g
                     assert (t2.n, t2.root, sorted(t2.edges())) == \
                         (r_t.n, r_t.root, sorted(r_t.edges()))
