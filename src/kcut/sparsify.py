@@ -4,7 +4,11 @@ Two independent reducers live here.  `ni_sparsify` keeps a union of
 iterated maximal spanning forests, which preserves every cut of size up
 to the forest count exactly.  `kt_sparsify` repeatedly carves the graph
 into expander cores and contracts them, shrinking the instance while
-keeping every small nontrivial cut's edges alive.
+keeping every small nontrivial cut's edges alive.  A KT round holds its
+graph's n x n edge-multiplicity matrix w (as does a spectral search on
+one n-vertex block) and carves h, an `alive` mask and a `piece` label per
+vertex: h's edges join two alive vertices of one piece.  `import kcut`
+skips this module, so numpy stays out of it.
 """
 
 from __future__ import annotations
@@ -12,19 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import FrozenSet, List, Optional, Tuple, Union
 
-from .graph import (
-    ContractionMap,
-    MultiGraph,
-    Partition,
-    connected_components,
-    cut_edge_set,
-    induced_subgraph,
-    is_simple,
-    quotient,
-    union_find,
-)
+import numpy as np
+
+from .graph import ContractionMap, MultiGraph, is_simple, quotient, union_find
 
 Rational = Union[Fraction, float]
 Cut = Tuple[FrozenSet[int], Fraction]  # a vertex set and its conductance
@@ -94,139 +91,137 @@ def ni_sparsify(g: MultiGraph, lam: int) -> NIResult:
     return NIResult(sub, tuple(forests))
 
 
-def remove_vertices(g: MultiGraph, drop: Iterable[int]) -> MultiGraph:
-    """Same vertex indexing; dropped vertices keep their slot but lose all edges."""
-    gone = set(drop)
-    edges = [(e, u, v) for e, (u, v) in ((e, g.endpoints(e)) for e in g.edge_ids)
-             if u not in gone and v not in gone]
-    return MultiGraph(g.n, edges)
+def _multiplicity(g: MultiGraph) -> np.ndarray:
+    """g's n x n matrix whose (u, v) entry counts the edges joining u and v."""
+    ends = np.fromiter(chain.from_iterable(g.pairs), dtype=np.int64, count=2 * g.m)
+    w = np.bincount(ends[0::2] * g.n + ends[1::2], minlength=g.n * g.n).reshape(g.n, g.n)
+    return w + w.T
 
 
-def remove_edges(g: MultiGraph, drop: Iterable[int]) -> MultiGraph:
-    gone = set(drop)
-    return MultiGraph(g.n, [(e, *g.endpoints(e)) for e in g.edge_ids if e not in gone])
+def _h_edges(w: np.ndarray, alive: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """w restricted to h: the entries between two alive vertices of one piece, others 0."""
+    return np.where(alive[:, None] & alive & (piece[:, None] == piece), w, 0)
 
 
-def trim(h: MultiGraph, reference: MultiGraph) -> MultiGraph:
-    """Drop vertices whose h-degree fell below 2/5 of their reference degree.
+def _trim(w: np.ndarray, deg: np.ndarray, alive: np.ndarray, piece: np.ndarray) -> np.ndarray:
+    """Drop alive vertices whose h-degree fell below 2/5 of deg, until none does.
 
-    Removal repeats until stable; batch order does not matter because the
-    condition is monotone under edge loss.  Removed vertices stay as
-    isolated slots so indices line up with the reference graph.
+    The condition is monotone under edge loss, so batch order does not matter.
     """
-    if h.n != reference.n:
-        raise ValueError("h and reference must share a vertex indexing")
-    cur = h
-    dead = set()
     while True:
-        weak = [v for v in cur.vertices if v not in dead
-                and cur.degree(v) < TRIM_FRACTION * reference.degree(v)]
-        if not weak:
-            return cur
-        dead.update(weak)
-        cur = remove_vertices(cur, weak)
+        weak = alive & (_h_edges(w, alive, piece).sum(axis=1) * TRIM_FRACTION.denominator
+                        < deg * TRIM_FRACTION.numerator)
+        if not weak.any():
+            return alive
+        alive = alive & ~weak
 
 
-def shave_scrap_core(
-    component: Iterable[int],
-    h: MultiGraph,
-    reference: MultiGraph,
-    regular: Optional[Sequence[bool]] = None,
-) -> FrozenSet[int]:
-    """Shave loose vertices off one component of h, then keep or scrap the rest.
+def _components(adj: np.ndarray) -> List[np.ndarray]:
+    """Components of 2+ vertices under boolean adjacency adj, sorted, by lowest vertex."""
+    seen = ~adj.any(axis=1)  # an isolated vertex is no block
+    blocks = []
+    for s in np.flatnonzero(~seen):
+        if not seen[s]:
+            comp = frontier = np.arange(len(adj)) == s
+            while frontier.any():
+                frontier = adj[frontier].any(axis=0) & ~comp
+                comp = comp | frontier
+            seen |= comp
+            blocks.append(np.flatnonzero(comp))
+    return blocks
 
-    A vertex is loose when it is regular (never contracted) and at most half
-    its reference degree stays inside the component.  What survives the shave
-    is kept as a core only if it holds more than a quarter of the component's
-    reference volume.
+
+def _shave_scrap_core(block: np.ndarray, w: np.ndarray, deg: np.ndarray, inner: np.ndarray,
+                      regular: np.ndarray) -> np.ndarray:
+    """Shave loose vertices off one block of h, then keep or scrap the rest.
+
+    A vertex is loose when it is regular (never contracted) and its h-degree,
+    inner, is at most half its degree.  What survives is the core (else the
+    empty array) only if its edges into the block exceed a quarter of the
+    block's volume.
     """
-    comp = sorted(set(component))
-    inside = set(comp)
-    ref_inner = {v: 0 for v in comp}
-    for e in reference.edge_ids:
-        u, v = reference.endpoints(e)
-        if u in inside and v in inside:
-            ref_inner[u] += 1
-            ref_inner[v] += 1
-    loose = set()
-    for v in comp:
-        is_regular = True if regular is None else regular[v]
-        if is_regular and h.degree(v) <= LOOSE_FRACTION * reference.degree(v):
-            loose.add(v)
-    core = [v for v in comp if v not in loose]
-    vol_core = sum(ref_inner[v] for v in core)
-    vol_comp = sum(reference.degree(v) for v in comp)
-    if vol_core <= SCRAP_FRACTION * vol_comp:
-        return frozenset()
-    return frozenset(core)
+    core = block[~(regular[block] & (inner[block] * LOOSE_FRACTION.denominator
+                                     <= deg[block] * LOOSE_FRACTION.numerator))]
+    if (w[np.ix_(core, block)].sum() * SCRAP_FRACTION.denominator
+            <= deg[block].sum() * SCRAP_FRACTION.numerator):
+        return core[:0]
+    return core
 
 
-def _conductance_sweep(c: MultiGraph, toggles: Iterable[int]) -> Cut:
-    """The least-conductance set S met while toggling each vertex in turn in or out of S.
+def _exact_min_conductance(w: np.ndarray) -> Cut:
+    """Gray-code sweep over all proper subsets not containing vertex 0.
 
-    Cut and volume update incrementally; ratios compare by cross-multiplying,
-    so the first minimum wins.
+    Each step toggles one vertex v in or out of S, which changes the cut by
+    deg(v) - 2 w(v, S); w(v, S) is read off bitmasks, one per binary digit
+    of the multiplicities.  Ratios compare by cross-multiplying, so the
+    first minimum wins.
     """
-    deg = [c.degree(v) for v in c.vertices]
-    nbrs = [[c.other(e, v) for e in c.incident(v)] for v in c.vertices]
-    total = 2 * c.m
-    inside = [False] * c.n
+    n = len(w)
+    rows = w.tolist()
+    deg = [sum(row) for row in rows]
+    planes = [(b, [sum(1 << u for u, x in enumerate(row) if x >> b & 1) for row in rows])
+              for b in range(int(w.max()).bit_length())]
+    total = sum(deg)
     vol = cut = mask = 0
     best_cut, best_side, best_mask = None, 1, 0
-    for v in toggles:
-        inside[v] = not inside[v]
-        sign = 1 if inside[v] else -1
-        vol += sign * deg[v]
-        cut += sign * sum(-1 if inside[w] else 1 for w in nbrs[v])
+    for i in range(1, 1 << (n - 1)):
+        v = (i & -i).bit_length()
         mask ^= 1 << v
+        sign = 1 if mask >> v & 1 else -1
+        vol += sign * deg[v]
+        cut += sign * (deg[v] - 2 * sum((nbrs[v] & mask).bit_count() << b for b, nbrs in planes))
         side = min(vol, total - vol)
         if best_cut is None or cut * best_side < best_cut * side:
             best_cut, best_side, best_mask = cut, side, mask
-    return frozenset(v for v in c.vertices if best_mask >> v & 1), Fraction(best_cut, best_side)
+    return frozenset(v for v in range(n) if best_mask >> v & 1), Fraction(best_cut, best_side)
 
 
-def _exact_min_conductance(c: MultiGraph) -> Cut:
-    """Gray-code sweep over all proper subsets not containing vertex 0."""
-    return _conductance_sweep(c, ((i & -i).bit_length() for i in range(1, 1 << (c.n - 1))))
+def _spectral_cut(w: np.ndarray, gamma: Rational) -> Optional[Cut]:
+    """Fiedler sweep; certify an expander via the easy Cheeger direction.
 
-
-def _spectral_cut(c: MultiGraph, gamma: Rational) -> Optional[Cut]:
-    """Fiedler sweep; certify an expander via the easy Cheeger direction."""
-    import numpy as np  # loaded here only, so `import kcut` stays numpy-free
-
-    n = c.n
-    a = np.zeros((n, n))
-    for e in c.edge_ids:
-        u, v = c.endpoints(e)
-        a[u, v] += 1.0
-        a[v, u] += 1.0
-    inv_sqrt = 1.0 / np.sqrt([float(c.degree(v)) for v in c.vertices])
-    lap = np.eye(n) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
+    The sweep grows S one vertex at a time in Fiedler order; cumulative
+    sums give each prefix's cut and volume, and ratios compare by
+    cross-multiplying, so the first minimum wins.
+    """
+    n = len(w)
+    deg = w.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(deg.astype(float))
+    lap = np.eye(n) - inv_sqrt[:, None] * w * inv_sqrt[None, :]
     vals, vecs = np.linalg.eigh(lap)
     if float(vals[1]) >= 2 * float(gamma):
         return None  # lambda2/2 lower-bounds the conductance
     order = np.argsort(vecs[:, 1] * inv_sqrt, kind="stable")
-    side, phi = _conductance_sweep(c, (int(v) for v in order[:n - 1]))
-    if float(phi) > math.sqrt(max(math.log2(max(c.m, 2)), 1.0)) * float(gamma):
+    # adding v to S changes the cut by deg(v) - 2 w(v, S)
+    steps = deg[order] - 2 * np.tril(w[np.ix_(order, order)], -1).sum(axis=1)
+    cuts = np.cumsum(steps)[:-1].tolist()
+    vols = np.cumsum(deg[order])
+    sides = np.minimum(vols, vols[-1] - vols)[:-1].tolist()
+    best = 0
+    for i in range(1, n - 1):
+        if cuts[i] * sides[best] < cuts[best] * sides[i]:
+            best = i
+    phi = Fraction(cuts[best], sides[best])
+    if float(phi) > math.sqrt(max(math.log2(max(int(vols[-1]) // 2, 2)), 1.0)) * float(gamma):
         return None  # sweep found nothing certifiably sparse; treat as expander
-    return side, phi
+    return frozenset(order[:best + 1].tolist()), phi
 
 
-def low_conductance_cut(c: MultiGraph, gamma: Rational) -> Optional[Cut]:
+def low_conductance_cut(w: np.ndarray, gamma: Rational) -> Optional[Cut]:
     """A vertex set of conductance at most gamma, or None to certify none was found.
 
-    Up to EXACT_CAP vertices every proper subset is swept, so a None is a
-    real expander certificate; above that the Fiedler sweep is a heuristic
-    whose None merely stops the caller's loop.
+    The graph is given by its multiplicity matrix w, and the set by row
+    positions.  Up to EXACT_CAP vertices every proper subset is swept, so a
+    None is a real expander certificate; above that the Fiedler sweep is a
+    heuristic whose None merely stops the caller's loop.
     """
-    if c.m == 0:
+    if not w.any():
         raise ValueError("conductance cut needs at least one edge")
-    if c.n < 2:
+    if len(w) < 2:
         return None
-    if c.n <= EXACT_CAP:
-        side, phi = _exact_min_conductance(c)
+    if len(w) <= EXACT_CAP:
+        side, phi = _exact_min_conductance(w)
         return (side, phi) if phi <= gamma else None
-    return _spectral_cut(c, gamma)
+    return _spectral_cut(w, gamma)
 
 
 def _default_gamma(m: int) -> float:
@@ -240,7 +235,8 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
     cuts until the remaining components look like expanders, shaves and
     scraps them, and contracts each surviving core to a supervertex.  If the
     graph's minimum k-cut is nontrivial and small, its edges run between
-    cores and survive every contraction.
+    cores and survive every contraction.  Rounds hold w, alive and piece
+    (module docstring); a carved cut gives its side a fresh piece label.
     """
     delta = g.min_degree() if g.n > 0 else 0
     cur = g
@@ -254,39 +250,39 @@ def kt_sparsify(g: MultiGraph, params: KTParams) -> KTResult:
         gamma = params.gamma if params.gamma is not None else _default_gamma(m)
         threshold = (params.passive_threshold if params.passive_threshold is not None
                      else 3 * params.alpha * delta / gamma)
-        passive = {v for v in cur.vertices if is_super[v] and cur.degree(v) <= threshold}
-        incident = sum(1 for u, v in cur.pairs if u in passive or v in passive)
-        if incident >= STOP_FRACTION * m:
+        w = _multiplicity(cur)
+        deg = w.sum(axis=1)
+        active = np.array([not (s and d <= threshold) for s, d in zip(is_super, deg.tolist())])
+        # the edges with a passive end are those outside the active block of w
+        if m - int(w[np.ix_(active, active)].sum()) // 2 >= STOP_FRACTION * m:
             break
-        h = trim(remove_vertices(cur, passive), cur)
+        piece = np.zeros(cur.n, dtype=np.int64)
+        alive = _trim(w, deg, active, piece)
         cut_total = 0
         while True:
-            found: List[FrozenSet[int]] = []
+            found = False
             # the blocks of the last pass, which finds no cut, are h's
-            blocks = [b for b in connected_components(h).blocks if len(b) >= 2]
+            blocks = _components(_h_edges(w, alive, piece) > 0)
             for block in blocks:
-                sub, vmap = induced_subgraph(h, block)
+                sub = w[np.ix_(block, block)]
                 hit = low_conductance_cut(sub, gamma)
                 if hit is not None:
-                    side, _ = hit
-                    rest = frozenset(range(sub.n)) - side
-                    found.append(cut_edge_set(sub, Partition([side, rest])))
+                    side = np.isin(np.arange(len(block)), list(hit[0]))
+                    cut_total += int(sub[np.ix_(side, ~side)].sum())
+                    piece[block[side]] = piece.max() + 1
+                    found = True
             if not found:
                 break
-            removed = sorted(set().union(*found))
-            cut_total += len(removed)
-            h = trim(remove_edges(h, removed), cur)
-        regular = [not s for s in is_super]
-        cores = [c for c in (shave_scrap_core(b, h, cur, regular) for b in blocks) if c]
-        marks = [min(core) for core in cores]
-        labels, _ = union_find(cur.n, [(a, w) for a, core in zip(marks, cores) for w in core])
+            alive = _trim(w, deg, alive, piece)
+        inner = _h_edges(w, alive, piece).sum(axis=1)
+        regular = ~np.array(is_super, dtype=bool)
+        cores = [c.tolist() for c in (_shave_scrap_core(b, w, deg, inner, regular)
+                                      for b in blocks) if len(c)]
+        labels, _ = union_find(cur.n, [(core[0], v) for core in cores for v in core])
         step = ContractionMap(tuple(labels))
         nxt = quotient(cur, step)
         new_super = [False] * nxt.n
-        for v in cur.vertices:
-            if is_super[v]:
-                new_super[step.apply(v)] = True
-        for v in marks:
+        for v in [v for v in cur.vertices if is_super[v]] + [core[0] for core in cores]:
             new_super[step.apply(v)] = True
         records.append(KTIteration(
             edges_before=m, edges_after=nxt.m, cut_edges=cut_total,

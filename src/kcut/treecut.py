@@ -678,8 +678,12 @@ def safe_tree_edges(
     then `quotient` through its map).  That cost is the lightest weight on
     the ends' Gomory-Hu path, so the ends lie in one class of the Gomory-Hu
     edges heavier than lam; every cut of value at most lam keeps each class
-    whole, so contracting them all at once keeps every such cut.
+    whole, so contracting them all at once keeps every such cut.  An end of
+    degree at most lam caps that cost at lam, so when every tree edge has
+    one the set is empty and no Gomory-Hu tree is built.
     """
+    if gh is None and all(min(map(g.degree, g.endpoints(e))) <= lam for e in t.edge_ids):
+        return frozenset()
     parent, weight = gomory_hu(g) if gh is None else gh
     labels = union_find(g.n, [(v, parent[v]) for v in range(1, g.n) if weight[v] > lam])[0]
     return frozenset(e for e in t.edge_ids for u, v in [g.endpoints(e)] if labels[u] == labels[v])

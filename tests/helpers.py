@@ -1,7 +1,9 @@
 """Small graph constructions shared across the test modules."""
 
+import math
 import random
 from collections import deque
+from fractions import Fraction
 
 from kcut.graph import KCutSolution, MultiGraph, Partition, cut_edge_set
 from kcut.tree import RootedTree
@@ -175,3 +177,117 @@ def reference_components(g):
                     q.append(y)
         blocks.append(comp)
     return Partition(blocks)
+
+
+def reference_kt_sparsify(g, params):
+    """`kt_sparsify`'s rounds carried out on `MultiGraph`s, rebuilt at every step.
+
+    Each round removes the passive supervertices' edges, trims, and then
+    carves: it finds the components of h, runs the conductance search on
+    each induced subgraph, deletes the crossing edges and trims again, until
+    a pass finds no cut.  Conductance sweeps toggle one vertex at a time over
+    edge-record neighbour lists, and the spectral matrix is filled one edge
+    at a time; every ratio compares by cross-multiplying.
+    """
+    import numpy as np
+    from kcut.graph import ContractionMap, connected_components, induced_subgraph, quotient, \
+        union_find
+    from kcut.sparsify import (EXACT_CAP, LOOSE_FRACTION, SCRAP_FRACTION, STOP_FRACTION,
+                               TRIM_FRACTION, KTIteration, KTResult, _default_gamma)
+
+    def without(h, drop_vertices=(), drop_edges=()):
+        return MultiGraph(h.n, [(e, u, v) for e, (u, v) in ((e, h.endpoints(e)) for e in h.edge_ids)
+                                if u not in drop_vertices and v not in drop_vertices
+                                and e not in drop_edges])
+
+    def trim(h, ref):
+        dead = set()
+        while True:
+            weak = [v for v in h.vertices if v not in dead
+                    and h.degree(v) < TRIM_FRACTION * ref.degree(v)]
+            if not weak:
+                return h
+            dead.update(weak)
+            h = without(h, drop_vertices=set(weak))
+
+    def sweep(c, toggles):
+        deg = [c.degree(v) for v in c.vertices]
+        nbrs = [[c.other(e, v) for e in c.incident(v)] for v in c.vertices]
+        inside = [False] * c.n
+        vol = cut = 0
+        best = None
+        for v in toggles:
+            inside[v] = not inside[v]
+            sign = 1 if inside[v] else -1
+            vol += sign * deg[v]
+            cut += sign * sum(-1 if inside[w] else 1 for w in nbrs[v])
+            side = min(vol, 2 * c.m - vol)
+            if best is None or cut * best[1] < best[0] * side:
+                best = (cut, side, frozenset(w for w in c.vertices if inside[w]))
+        return best[2], Fraction(best[0], best[1])
+
+    def conductance_cut(c, gamma):
+        if c.n <= EXACT_CAP:
+            side, phi = sweep(c, ((i & -i).bit_length() for i in range(1, 1 << (c.n - 1))))
+            return side if phi <= gamma else None
+        a = np.zeros((c.n, c.n))
+        for u, v in c.pairs:
+            a[u, v] += 1.0
+            a[v, u] += 1.0
+        inv_sqrt = 1.0 / np.sqrt([float(c.degree(v)) for v in c.vertices])
+        vals, vecs = np.linalg.eigh(np.eye(c.n) - inv_sqrt[:, None] * a * inv_sqrt[None, :])
+        if float(vals[1]) >= 2 * float(gamma):
+            return None
+        order = np.argsort(vecs[:, 1] * inv_sqrt, kind="stable")
+        side, phi = sweep(c, (int(v) for v in order[:c.n - 1]))
+        if float(phi) > math.sqrt(max(math.log2(max(c.m, 2)), 1.0)) * float(gamma):
+            return None
+        return side
+
+    def core_of(comp, h, ref, regular):
+        inner = {v: sum(1 for e in ref.incident(v) if ref.other(e, v) in comp) for v in comp}
+        core = [v for v in comp if not (regular[v] and h.degree(v) <= LOOSE_FRACTION * ref.degree(v))]
+        if sum(inner[v] for v in core) <= SCRAP_FRACTION * sum(ref.degree(v) for v in comp):
+            return []
+        return core
+
+    delta = g.min_degree() if g.n > 0 else 0
+    cur, cmap, is_super, records = g, ContractionMap.identity(g.n), [False] * g.n, []
+    while cur.m:
+        m = cur.m
+        gamma = params.gamma if params.gamma is not None else _default_gamma(m)
+        threshold = (params.passive_threshold if params.passive_threshold is not None
+                     else 3 * params.alpha * delta / gamma)
+        passive = {v for v in cur.vertices if is_super[v] and cur.degree(v) <= threshold}
+        if sum(1 for u, v in cur.pairs if u in passive or v in passive) >= STOP_FRACTION * m:
+            break
+        h = trim(without(cur, drop_vertices=passive), cur)
+        cut_total = 0
+        while True:
+            removed = set()
+            blocks = [b for b in connected_components(h).blocks if len(b) >= 2]
+            for block in blocks:
+                sub, new = induced_subgraph(h, block)
+                side = conductance_cut(sub, gamma)
+                if side is not None:
+                    removed |= {e for e in sub.edge_ids
+                                if (sub.endpoints(e)[0] in side) != (sub.endpoints(e)[1] in side)}
+            if not removed:
+                break
+            cut_total += len(removed)
+            h = trim(without(h, drop_edges=removed), cur)
+        regular = [not s for s in is_super]
+        cores = [c for c in (core_of(b, h, cur, regular) for b in blocks) if c]
+        labels, _ = union_find(cur.n, [(min(core), v) for core in cores for v in core])
+        step = ContractionMap(tuple(labels))
+        nxt = quotient(cur, step)
+        new_super = [False] * nxt.n
+        for v in [v for v in cur.vertices if is_super[v]] + [min(core) for core in cores]:
+            new_super[step.apply(v)] = True
+        records.append(KTIteration(edges_before=m, edges_after=nxt.m, cut_edges=cut_total,
+                                   supervertices_after=sum(new_super), cores=len(cores),
+                                   gamma=gamma))
+        if nxt.n == cur.n and new_super == is_super:
+            break
+        cur, cmap, is_super = nxt, cmap.compose(step), new_super
+    return KTResult(cur, cmap, tuple(records))

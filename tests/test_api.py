@@ -25,9 +25,8 @@ def test_benchmark_names_stay_exported():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy serves only the sparsifier's spectral search, which imports it
-    # itself; the sparsifier in turn is loaded by the solver only when its
-    # gate first fires
+    # numpy serves only the sparsifier, which the solver loads only when
+    # its gate first fires
     src = os.path.dirname(os.path.dirname(kcut.__file__))
     code = ("import sys, kcut\n"
             "for name in ('numpy', 'kcut.sparsify'):\n"

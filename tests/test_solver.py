@@ -542,3 +542,11 @@ class TestKnownDefects:
         # 13 against 6
         assert treecut.tree_cut(g, t, 63, 3, TrialConfig(trials=trials)).value == \
             brute_tree_kcut(g, t, 3).value
+
+    @pytest.mark.xfail(reason="D5: KT contracts the stage below k vertices across the cut")
+    def test_d5_kt_contracts_across_a_sparse_cut(self, monkeypatch):
+        monkeypatch.setattr(solver, "KT_CONSTANT", 0.01)  # the gate fires on n = 24
+        sol, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques((12, 12), 2), 2)
+        # returns 11 by branching: KT maps all 24 vertices to one
+        assert (stats["sparsified_cells"], stats["kt_iterations"]) == (1, 1)
+        assert sol.value == 2

@@ -20,6 +20,7 @@ from kcut.graph import (
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
 from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree, build_hld, forest_components, forest_labels, tree_quotient
+import kcut.graph as graph_module
 import kcut.treecut as treecut
 from kcut.treecut import (
     INF,
@@ -215,6 +216,23 @@ class TestContractSafeEdgesReference:
                     assert cmap.mapping == r_map.mapping
                     contracted += g2.n < g.n
         assert contracted >= 50
+
+    def test_low_degree_ends_skip_the_gomory_hu_tree(self, monkeypatch):
+        # a 12-cycle with chords 0-6 and 3-9: degrees 2 and 3, every pair
+        # 2-connected; an edge with an end of degree <= lam is never safe
+        g = from_pairs(12, list(cycle_graph(12).pairs) + [(0, 6), (3, 9)])
+        t = greedy_tree_packing(g, 1).trees[0]
+        calls = []
+        real = graph_module.min_st_cut
+        monkeypatch.setattr(graph_module, "min_st_cut",
+                            lambda *args: calls.append(args) or real(*args))
+        for lam in (2, 3, 5):
+            assert safe_tree_edges(g, t, lam) == frozenset()
+            assert reference_contract_safe_edges(g, t, lam)[1].edge_ids == t.edge_ids
+        assert calls == []
+        # below every degree the tree is built, and every tree edge is safe
+        assert safe_tree_edges(g, t, 1) == t.edge_ids
+        assert len(calls) == g.n - 1
 
 
 class TestTrialConfig:
