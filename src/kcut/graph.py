@@ -7,7 +7,6 @@ so a cut found in a contracted graph can be named in the original one.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -272,80 +271,70 @@ def connected_components(g: MultiGraph) -> Partition:
     return Partition(blocks)
 
 
-def min_st_cut(g: MultiGraph, s: int, t: int) -> Tuple[int, FrozenSet[int]]:
-    """Minimum number of edges separating s from t, with the s-side set.
-
-    Unit capacity per edge record, so parallel edges add up.  The flow
-    starts from every direct s-t edge and, through each common neighbour
-    w, min(mult(s, w), mult(w, t)) s-w-t paths; BFS augmenting paths then
-    walk the incidence lists, and the side is what the last search reached.
-    Its one caller is `gomory_hu`.
-    """
-    if not (0 <= s < g.n and 0 <= t < g.n):
-        raise ValueError("unknown endpoint for s-t cut")
-    if s == t:
-        raise ValueError("s and t must differ")
-    ends = g._ends
-    net: Dict[int, int] = {}  # units each edge carries away from its first endpoint
-
-    def send(e, x):  # one unit along e, away from x
-        net[e] = net.get(e, 0) + (1 if ends[e][0] == x else -1)
-
-    flow = 0
-    spare: Dict[int, List[int]] = {}  # s's unused edges, by far end
-    for e in g.incident(s):
-        w = g.other(e, s)
-        if w == t:
-            send(e, s)
-            flow += 1
-        else:
-            spare.setdefault(w, []).append(e)
-    for e in g.incident(t):
-        w = g.other(e, t)
-        if spare.get(w):
-            send(spare[w].pop(), s)
-            send(e, w)
-            flow += 1
-    while True:
-        parent: Dict[int, Optional[int]] = {s: None}
-        q = deque([s])
-        while q and t not in parent:
-            x = q.popleft()
-            for e in g.incident(x):
-                a, b = ends[e]
-                y, away = (b, net.get(e, 0)) if a == x else (a, -net.get(e, 0))
-                if away < 1 and y not in parent:
-                    parent[y] = e
-                    q.append(y)
-        if t not in parent:
-            return flow, frozenset(parent)
-        y = t
-        while y != s:
-            x = g.other(parent[y], y)
-            send(parent[y], x)
-            y = x
-        flow += 1
-
-
 def gomory_hu(g: MultiGraph) -> Tuple[List[int], List[int]]:
-    """A Gomory-Hu tree of g from Gusfield's n-1 `min_st_cut` calls, rooted at 0.
+    """A Gomory-Hu tree of g from Gusfield's n-1 s-t flows, rooted at 0.
 
     Returns (parent, weight): vertex v > 0 hangs from parent[v] by an edge
     of weight weight[v] (both 0 at the root), and the minimum cut between
     two vertices, 0 across components, is the lightest on their tree path.
+
+    Each edge record carries one unit either way.  The flow from s to t
+    starts from every direct s-t edge and, through each common neighbour
+    w, min(mult(s, w), mult(w, t)) s-w-t paths; BFS augmenting paths then
+    walk per-vertex arc lists built once.  s's side is what the last
+    search reached: from any maximum flow, the vertices s reaches in the
+    residual graph form the same set, the minimal minimum cut, so neither
+    arc order nor edge ids can change the tree.
     """
-    parent = [0] * g.n
-    weight = [0] * g.n
-    for s in range(1, g.n):
+    n = g.n
+    arcs: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(g.pairs):  # (edge, far end, sign of a unit sent that way)
+        arcs[u].append((i, v, 1))
+        arcs[v].append((i, u, -1))
+    parent = [0] * n
+    weight = [0] * n
+    for s in range(1, n):
         t = parent[s]
-        flow, side = min_st_cut(g, s, t)
+        net = [0] * g.m  # units each edge carries from its first endpoint to its second
+        flow = 0
+        spare: Dict[int, List[Tuple[int, int]]] = {}  # s's unused arcs, by far end
+        for i, w, d in arcs[s]:
+            if w == t:
+                net[i] = d
+                flow += 1
+            else:
+                spare.setdefault(w, []).append((i, d))
+        for i, w, d in arcs[t]:
+            if spare.get(w):
+                j, dj = spare[w].pop()
+                net[j] = dj
+                net[i] = -d  # from w into t
+                flow += 1
+        while True:
+            via: List[Optional[Tuple[int, int, int]]] = [None] * n  # (x, edge, sign) of the arc from x
+            via[s] = (s, 0, 0)  # reached, by no arc
+            reached = [s]
+            for x in reached:  # read while it grows: breadth-first order
+                for i, y, d in arcs[x]:
+                    if d * net[i] < 1 and via[y] is None:
+                        via[y] = (x, i, d)
+                        reached.append(y)
+                if via[t] is not None:
+                    break
+            if via[t] is None:
+                break
+            y = t
+            while y != s:
+                y, i, d = via[y]
+                net[i] += d
+            flow += 1
         weight[s] = flow
-        for v in side:
+        for v in reached:
             if v != s and parent[v] == t:
                 parent[v] = s
         # when t's parent lies on s's side, s moves in between them (never
         # at the root, which is its own parent)
-        if parent[t] in side:
+        if via[parent[t]] is not None:
             parent[s], parent[t] = parent[t], s
             weight[s], weight[t] = weight[t], flow
     return parent, weight

@@ -139,7 +139,7 @@ class _Context:
         # vertices of the components whose own stage outgrew TREECUT_MAX_N:
         # every cell below them stages itself, as its DP may still fit
         self.oversized = 0
-        self.packed_trees: List[RootedTree] = []  # the top cell's, as in stats["packed_trees"]
+        self.packed_trees: List[RootedTree] = []  # the top cell's; stats["packed_trees"] lists their ids
 
     def split(self, alive: int) -> List[int]:
         """Components of the input restricted to alive, as masks in order of their lowest vertex."""
@@ -335,15 +335,13 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     ctx.stats["trees_packed"] += count
     best = None
     for t in dict.fromkeys(pack.trees):  # the packing shares one object per edge set
-        ids = tuple(sorted(t.edge_ids))
         if whole_input:
-            ctx.stats["packed_trees"].append(ids)
             ctx.packed_trees.append(t)
         if lam <= bound or best is not None and best[0] <= bound:
             if whole_input:
                 continue  # the rest of the trees are still recorded
             break
-        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, ids))
+        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(t.edge_ids))))
         sol = tree_cut(stage, t, lam, k, trial, gh)
         ctx.stats["trees_evaluated"] += 1
         # tree_cut scored the cut on stage, which is sub unless KT contracted it
@@ -387,6 +385,7 @@ def solve_with_stats(
         raise Infeasible("cannot cut %d vertices into %d parts" % (g.n, k))
     ctx = _Context(g, config, stats)
     value, blocks, provenance = _solve(ctx, ctx.top_alive, list(g.vertices), k)
+    stats["packed_trees"] = [tuple(sorted(t.edge_ids)) for t in ctx.packed_trees]
     partition = Partition([v for v in g.vertices if b >> v & 1] for b in blocks)
     assert value == cut_value(g, partition)
     sol = KCutSolution(value, partition, cut_edge_set(g, partition), provenance)

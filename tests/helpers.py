@@ -179,6 +179,37 @@ def reference_components(g):
     return Partition(blocks)
 
 
+def reference_min_st_cut(g, s, t):
+    """Fewest edge records separating s from t, with the s-side set.
+
+    Plain BFS augmenting paths over the edge records, from zero flow: each
+    record carries one unit either way.  The side is what the last search
+    reached, the minimal minimum cut.
+    """
+    net = dict.fromkeys(g.edge_ids, 0)  # units each record carries away from its first endpoint
+    flow = 0
+    while True:
+        came = {s: None}
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            for e in g.incident(x):
+                y = g.other(e, x)
+                away = net[e] if g.endpoints(e)[0] == x else -net[e]
+                if away < 1 and y not in came:
+                    came[y] = e
+                    q.append(y)
+        if t not in came:
+            return flow, frozenset(came)
+        y = t
+        while y != s:
+            e = came[y]
+            x = g.other(e, y)
+            net[e] += 1 if g.endpoints(e)[0] == x else -1
+            y = x
+        flow += 1
+
+
 def reference_kt_sparsify(g, params):
     """`kt_sparsify`'s rounds carried out on `MultiGraph`s, rebuilt at every step.
 

@@ -1,4 +1,4 @@
-"""Multigraph core: union-find, quotient, cuts, boundaries, components, s-t cut, Gomory-Hu tree."""
+"""Multigraph core: union-find, quotient, cuts, boundaries, components, Gomory-Hu tree."""
 
 import itertools
 import random
@@ -12,11 +12,9 @@ from kcut.graph import (
     Partition,
     boundary,
     connected_components,
-    cut_edge_set,
     cut_value,
     gomory_hu,
     induced_subgraph,
-    min_st_cut,
     pull_back,
     quotient,
     union_find,
@@ -29,6 +27,7 @@ from helpers import (
     random_connected_multigraph,
     random_multigraph,
     reference_components,
+    reference_min_st_cut,
 )
 
 
@@ -128,34 +127,40 @@ def test_boundary_rejects_overlap():
         boundary(g, [{0, 1}, {1, 2}])
 
 
+def gh_min_cuts(g):
+    """The lightest weight on the `gomory_hu` tree path of every ordered vertex pair."""
+    parent, weight = gomory_hu(g)
+    paths = [set(to_root(parent, v)) for v in g.vertices]
+    return {(u, v): min(weight[x] for x in paths[u] ^ paths[v])
+            for u in g.vertices for v in g.vertices if u != v}
+
+
 def test_min_st_cut_cycle_and_clique():
-    assert min_st_cut(cycle_graph(4), 0, 2)[0] == 2
-    g = complete_graph(4)
-    for s, t in itertools.combinations(range(4), 2):
-        assert min_st_cut(g, s, t)[0] == 3
+    assert gh_min_cuts(cycle_graph(4))[0, 2] == 2
+    assert set(gh_min_cuts(complete_graph(4)).values()) == {3}
 
 
 def test_min_st_cut_bridge():
     g = from_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    value, side = min_st_cut(g, 2, 3)
-    assert value == 1
-    assert side == frozenset({0, 1, 2})
+    assert gh_min_cuts(g)[2, 3] == 1
+    # the one tree edge of weight 1 hangs 3's triangle below 2's
+    parent, weight = gomory_hu(g)
+    light = [v for v in g.vertices if v and weight[v] == 1]
+    assert light == [3] and parent[3] == 2
+    assert {x for x in g.vertices if 3 in to_root(parent, x)} == {3, 4, 5}
 
 
 def test_min_st_cut_counts_parallel_edges():
     g = from_pairs(2, [(0, 1), (0, 1), (0, 1)])
-    assert min_st_cut(g, 0, 1)[0] == 3
+    assert gomory_hu(g) == ([0, 0], [0, 3])
 
 
 def test_min_st_cut_seeds_doubled_two_hop_paths():
-    # s=0, t=1 through w=2, each hop doubled: two s-w-t paths, cut of 2
+    # 1 to 0 through 2, each hop doubled: two 1-2-0 paths fill 1's cut of
+    # 2, whose side is {1}; 2's side from 0 is {1, 2}, so 1 moves below 2
     g = from_pairs(3, [(0, 2), (2, 1), (0, 2), (2, 1)])
-    assert min_st_cut(g, 0, 1) == (2, frozenset({0}))
-
-
-def test_min_st_cut_rejects_same_endpoints():
-    with pytest.raises(ValueError):
-        min_st_cut(path_graph(3), 1, 1)
+    assert gh_min_cuts(g)[0, 1] == 2
+    assert gomory_hu(g) == ([0, 2, 0], [0, 2, 2])
 
 
 def test_connected_components_examples():
@@ -313,25 +318,33 @@ def test_union_find_stops_at_the_spanning_point_with_full_scan_answers(n, seed):
     assert labels == [0] * n and len(merged) == n - 1
 
 
-def brute_st_cut(g, s, t):
-    """Smallest cut over every bipartition with s on one side and t on the other."""
-    return min(
-        cut_value(g, Partition([side, set(g.vertices) - side]))
-        for r in range(1, g.n)
-        for side in map(set, itertools.combinations(range(g.n), r))
-        if s in side and t not in side
-    )
+def shuffled_ids(g, rng):
+    """g with fresh, scattered edge ids and its edge records in random order."""
+    ids = rng.sample(range(10 * g.m + 1), g.m)
+    edges = [(e, u, v) for e, (u, v) in zip(ids, g.pairs)]
+    rng.shuffle(edges)
+    return MultiGraph(g.n, edges)
 
 
-@given(graphs, st.integers(min_value=0, max_value=10**6))
+def brute_st_cuts(g):
+    """Smallest cut between every vertex pair, over every bipartition."""
+    best = {}
+    for r in range(1, g.n):
+        for side in map(set, itertools.combinations(range(g.n), r)):
+            value = cut_value(g, Partition([side, set(g.vertices) - side]))
+            for pair in itertools.product(side, set(g.vertices) - side):
+                best[pair] = min(best.get(pair, value), value)
+    return best
+
+
+@given(sparse_multigraphs(max_n=8), st.integers(min_value=0, max_value=10**6))
 def test_min_st_cut_matches_bipartition_enumeration(g, seed):
-    rng = random.Random(seed)
-    s, t = rng.sample(range(g.n), 2)
-    best = brute_st_cut(g, s, t)
-    value, side = min_st_cut(g, s, t)
-    assert value == best
-    assert s in side and t not in side
-    assert len(cut_edge_set(g, Partition([side, frozenset(g.vertices) - side]))) == value
+    assert gh_min_cuts(shuffled_ids(g, random.Random(seed))) == brute_st_cuts(g)
+
+
+@given(sparse_multigraphs(), st.integers(min_value=0, max_value=10**6))
+def test_gomory_hu_ignores_edge_ids_and_order(g, seed):
+    assert gomory_hu(shuffled_ids(g, random.Random(seed))) == gomory_hu(g)
 
 
 @given(graphs)
@@ -362,11 +375,10 @@ def to_root(parent, x):
 def test_gomory_hu_path_minima_are_the_min_st_cuts(g):
     parent, weight = gomory_hu(g)
     assert len(parent) == len(weight) == g.n and parent[0] == weight[0] == 0
+    for (u, v), lightest in gh_min_cuts(g).items():
+        if u < v:
+            assert lightest == reference_min_st_cut(g, u, v)[0]
     paths = [to_root(parent, v) for v in g.vertices]
-    for u, v in itertools.combinations(range(g.n), 2):
-        shared = set(paths[u]) & set(paths[v])
-        lightest = min(weight[x] for x in paths[u] + paths[v] if x not in shared)
-        assert lightest == min_st_cut(g, u, v)[0]
     # and each tree edge's two sides are a cut of its weight in g
     for v in range(1, g.n):
         below = {x for x in g.vertices if v in paths[x]}

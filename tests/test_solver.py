@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kcut.errors import Infeasible
-import kcut.graph as graph
 from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph, is_simple
 from kcut.oracles import OracleBudget, brute_min_kcut, brute_tree_kcut
 from kcut.packing import greedy_tree_packing, is_tight
@@ -474,9 +473,9 @@ class TestBranchingCells:
 
     def test_each_tree_stage_runs_only_its_gomory_hu_flows(self, monkeypatch):
         # the stage's Gomory-Hu tree answers every tree cut's safe-edge
-        # question, so its n-1 flows are all the flows the stage runs
+        # question, so its one tree holds all the flows the stage runs
         stages, callers, cuts = [], [], []
-        real_stage, real_cut, real_flow = solver._tree_stage, solver.tree_cut, graph.min_st_cut
+        real_stage, real_cut, real_gh = solver._tree_stage, solver.tree_cut, solver.gomory_hu
 
         def stage(ctx, alive, sub, order, k, lam, staged, kt_map):
             callers.clear()
@@ -490,17 +489,18 @@ class TestBranchingCells:
             cuts.append(len(callers) - before)
             return sol
 
-        def flow(g, s, t):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real_flow(g, s, t)
+        def gomory_hu(g):
+            callers.append((sys._getframe(1).f_code.co_name, g.n))
+            return real_gh(g)
 
         monkeypatch.setattr(solver, "_tree_stage", stage)
         monkeypatch.setattr(solver, "tree_cut", cut)
-        monkeypatch.setattr(graph, "min_st_cut", flow)
+        monkeypatch.setattr(solver, "gomory_hu", gomory_hu)
+        monkeypatch.setattr(treecut, "gomory_hu", gomory_hu)
         _, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques((5, 5, 4), 2), 3)
         assert stats["trees_evaluated"] == len(cuts) == 20
-        assert cuts == [0] * 20  # given the Gomory-Hu tree, tree_cut runs no flow
-        assert stages == [(14, ["gomory_hu"] * 13)]  # one stage, the whole input
+        assert cuts == [0] * 20  # given the Gomory-Hu tree, tree_cut builds none
+        assert stages == [(14, [("_tree_stage", 14)])]  # one stage, the whole input
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

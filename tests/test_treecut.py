@@ -12,7 +12,6 @@ from kcut.graph import (
     cut_edge_set,
     cut_value,
     gomory_hu,
-    min_st_cut,
     pull_back,
     quotient,
     union_find,
@@ -20,7 +19,6 @@ from kcut.graph import (
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
 from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree, build_hld, forest_components, forest_labels, tree_quotient
-import kcut.graph as graph_module
 import kcut.treecut as treecut
 from kcut.treecut import (
     INF,
@@ -59,6 +57,7 @@ from helpers import (
     random_connected_graph,
     random_connected_multigraph,
     random_multigraph,
+    reference_min_st_cut,
 )
 
 EXH = TrialConfig(seed=7, trials="exhaustive")
@@ -147,7 +146,7 @@ class TestContractSafeEdges:
         t = spanning_path(g, [0, 1, 2, 3, 4, 5])
         for eid in t.edge_ids:
             u, v = g.endpoints(eid)
-            assert min_st_cut(g, u, v)[0] <= 2  # no edge is safe at this budget
+            assert reference_min_st_cut(g, u, v)[0] <= 2  # no edge is safe at this budget
         g2, _, _ = safe_quotient(g, t, 2)
         assert g2.n == 6 and g2.m == g.m
 
@@ -166,7 +165,7 @@ class TestContractSafeEdges:
             g2, t2, cmap = safe_quotient(g, t, lam)
             for eid in t2.edge_ids:
                 u, v = g2.endpoints(eid)
-                assert min_st_cut(g2, u, v)[0] <= lam
+                assert reference_min_st_cut(g2, u, v)[0] <= lam
 
 
 def reference_contract_safe_edges(g, t, lam):
@@ -180,7 +179,7 @@ def reference_contract_safe_edges(g, t, lam):
             u, v = cur_g.endpoints(eid)
             if min(cur_g.degree(u), cur_g.degree(v)) <= lam:
                 continue
-            if min_st_cut(cur_g, u, v)[0] <= lam:
+            if reference_min_st_cut(cur_g, u, v)[0] <= lam:
                 continue
             cur_t, step = tree_quotient(cur_t, [eid])
             cur_g = quotient(cur_g, step)
@@ -223,16 +222,15 @@ class TestContractSafeEdgesReference:
         g = from_pairs(12, list(cycle_graph(12).pairs) + [(0, 6), (3, 9)])
         t = greedy_tree_packing(g, 1).trees[0]
         calls = []
-        real = graph_module.min_st_cut
-        monkeypatch.setattr(graph_module, "min_st_cut",
-                            lambda *args: calls.append(args) or real(*args))
+        real = treecut.gomory_hu
+        monkeypatch.setattr(treecut, "gomory_hu", lambda h: calls.append(h) or real(h))
         for lam in (2, 3, 5):
             assert safe_tree_edges(g, t, lam) == frozenset()
             assert reference_contract_safe_edges(g, t, lam)[1].edge_ids == t.edge_ids
         assert calls == []
-        # below every degree the tree is built, and every tree edge is safe
+        # below every degree the tree is built, once, and every tree edge is safe
         assert safe_tree_edges(g, t, 1) == t.edge_ids
-        assert len(calls) == g.n - 1
+        assert calls == [g]
 
 
 class TestTrialConfig:
