@@ -34,7 +34,6 @@ from .graph import (
     KCutSolution,
     MultiGraph,
     Partition,
-    connected_components,
     cut_edge_set,
     cut_value,
     gomory_hu,
@@ -111,7 +110,10 @@ def _ni_keeps_every_edge(g: MultiGraph, lam: int) -> bool:
     them, so u and v both have degree above i: every edge lies in one of
     the first min(deg u, deg v) forests.
     """
-    return all(min(g.degree(u), g.degree(v)) <= lam for u, v in g.pairs)
+    degree = [g.degree(v) for v in g.vertices]
+    if max(degree, default=0) <= lam:
+        return True
+    return all(degree[u] <= lam or degree[v] <= lam for u, v in g.pairs)
 
 
 class _Context:
@@ -134,7 +136,7 @@ class _Context:
             layer[u] |= 1 << v
             layer[v] |= 1 << u
         self.adj, self.extra = layers[0], layers[1:]
-        self.blocks = [_mask(b) for b in connected_components(g).blocks]
+        self.blocks = _components(self.adj, self.top_alive)
         self.components = set(self.blocks)
         # vertices of the components whose own stage outgrew TREECUT_MAX_N:
         # every cell below them stages itself, as its DP may still fit
@@ -145,23 +147,7 @@ class _Context:
         """Components of the input restricted to alive, as masks in order of their lowest vertex."""
         if alive == self.top_alive:
             return self.blocks
-        adj = self.adj
-        blocks = []
-        rest = alive
-        while rest:
-            start = rest
-            frontier = rest & -rest
-            rest ^= frontier
-            # expand one reached vertex at a time until the block is closed
-            # or nothing of alive is left to reach
-            while frontier and rest:
-                low = frontier & -frontier
-                frontier ^= low
-                new = adj[low.bit_length() - 1] & rest
-                rest ^= new
-                frontier |= new
-            blocks.append(start ^ rest)
-        return blocks
+        return _components(self.adj, alive)
 
     def simple(self, alive: int, order: List[int]) -> bool:
         """True when no two of order (alive's sorted vertices) share more than one edge."""
@@ -174,6 +160,26 @@ class _Context:
         for layer in self.extra:
             degrees = [d + (layer[v] & alive).bit_count() for d, v in zip(degrees, order)]
         return degrees
+
+
+def _components(adj: List[int], alive: int) -> List[int]:
+    """Components of alive under the neighbour masks adj, as masks in order of their lowest vertex."""
+    blocks = []
+    rest = alive
+    while rest:
+        start = rest
+        frontier = rest & -rest
+        rest ^= frontier
+        # expand one reached vertex at a time until the block is closed
+        # or nothing of alive is left to reach
+        while frontier and rest:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & rest
+            rest ^= new
+            frontier |= new
+        blocks.append(start ^ rest)
+    return blocks
 
 
 def _mask(vertices) -> int:
@@ -387,8 +393,12 @@ def solve_with_stats(
     value, blocks, provenance = _solve(ctx, ctx.top_alive, list(g.vertices), k)
     stats["packed_trees"] = [tuple(sorted(t.edge_ids)) for t in ctx.packed_trees]
     partition = Partition([v for v in g.vertices if b >> v & 1] for b in blocks)
-    assert value == cut_value(g, partition)
-    sol = KCutSolution(value, partition, cut_edge_set(g, partition), provenance)
+    # re-scored from its partition, which must hold every vertex exactly once
+    if len(partition.block_index()) != g.n:
+        raise ValueError("partition does not cover the vertex set exactly")
+    cut = cut_edge_set(g, partition)
+    assert value == len(cut)
+    sol = KCutSolution(value, partition, cut, provenance)
     if stats["lower_bound"] is not None:
         stats["gap"] = value - stats["lower_bound"]
         stats["certified"] = stats["gap"] == 0

@@ -9,8 +9,9 @@ min-plus pick of one deletion budget per candidate combines them; every
 proposal is re-scored against the real graph, so stored values are always
 achievable and never below the true optimum of the deletions they name.
 A cell with at most SWEEP_MAX_SUBSETS deletion sets skips the trial
-machinery and enumerates them outright, scoring each set against bitmasks
-of the tree paths the graph's edges span; `tree_cut` does so at the root
+machinery and enumerates them outright: each tree edge gets a crossing
+mask, one bit per graph edge whose tree path holds it, and a set costs
+the popcount of the OR of its edges' masks.  `tree_cut` does so at the root
 whenever the tree's non-safe edges qualify, without filling any state or
 contracting the safe edges (read off a Gomory-Hu tree).  Otherwise it
 contracts that same safe set in the graph and the tree, and fills the
@@ -25,7 +26,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -505,35 +505,54 @@ def _score_deletion(sub: MultiGraph, local_t: RootedTree, ids: Iterable[int]) ->
     return sum(1 for u, v in sub.pairs if labels[u] != labels[v])
 
 
-def _deletion_scores(
-    sub: MultiGraph, local_t: RootedTree, parts: int, skip: FrozenSet[int] = frozenset()
-) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-    """Exact cost of every deletion of parts-1 tree edges outside skip, in combinations order.
+def _crossing_masks(
+    sub: MultiGraph, local_t: RootedTree, skip: FrozenSet[int] = frozenset()
+) -> Tuple[List[int], List[int]]:
+    """Tree edge ids outside skip, ascending, and one crossing mask per edge.
 
-    Tree edge i (by ascending id, skip left out) owns bit i and up[v] holds
-    the bits of v's root path, so a graph edge (u, v) is cut exactly when
-    its tree path up[u] ^ up[v] meets the deletion's bits, as if skip were
-    contracted.  Equal paths are counted once.
+    crossing[i] holds a bit for every graph edge whose tree path contains
+    ids[i], as if skip were contracted, so deleting a set of tree edges
+    cuts exactly the popcount of the OR of their masks.  Equal paths are
+    walked once: a path of multiplicity c takes c consecutive bits.
     """
     ids = sorted(local_t.edge_ids - skip)
     bit = {e: 1 << i for i, e in enumerate(ids)}
-    up = [0] * local_t.n
+    up = [0] * local_t.n  # bits of the tree edges on each vertex's root path
     for v in local_t.order:
         e = local_t.parent_edge(v)
         if e is not None:
             up[v] = up[local_t.parent(v)] | bit.get(e, 0)
-    counted = list(Counter(up[u] ^ up[v] for u, v in sub.pairs).items())
-    for combo in itertools.combinations(ids, parts - 1):
-        mask = sum(bit[e] for e in combo)
-        yield sum(c for path, c in counted if path & mask), combo
+    crossing = [0] * len(ids)
+    offset = 0
+    for path, c in Counter(up[u] ^ up[v] for u, v in sub.pairs).items():
+        if not path:
+            continue
+        block = ((1 << c) - 1) << offset
+        offset += c
+        while path:
+            low = path & -path
+            path ^= low
+            crossing[low.bit_length() - 1] |= block
+    return ids, crossing
 
 
 def _sweep_cell(
     sub: MultiGraph, local_t: RootedTree, parts: int, skip: FrozenSet[int] = frozenset()
 ):
-    """Exact: the first cheapest deletion of parts-1 edges outside skip, as (value, edge ids)."""
-    value, combo = min(_deletion_scores(sub, local_t, parts, skip), key=itemgetter(0))
-    return value, frozenset(combo)
+    """Exact: the first cheapest deletion of parts-1 edges outside skip, as (value, edge ids).
+
+    Sets are tried in combinations order of ascending edge ids.
+    """
+    ids, crossing = _crossing_masks(sub, local_t, skip)
+    best_value, best = INF, ()
+    for combo in itertools.combinations(range(len(ids)), parts - 1):
+        mask = 0
+        for i in combo:
+            mask |= crossing[i]
+        value = mask.bit_count()
+        if value < best_value:
+            best_value, best = value, combo
+    return best_value, frozenset(ids[i] for i in best)
 
 
 class _SubtreeTrials:

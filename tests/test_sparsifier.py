@@ -98,6 +98,22 @@ def test_ni_keeps_every_edge_at_the_degree_bound(seed, n, p):
 
 
 @settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=0.9))
+def test_ni_keeps_every_edge_matches_ni_sparsify(seed, n, p):
+    # below, at and above the largest degree, where the check returns early;
+    # it is sufficient, not necessary (one forest keeps a whole tree), so it
+    # is held to the per-edge degree rule and to NI wherever it says yes
+    g = random_simple_graph(random.Random(seed), n, p)
+    top = max(g.degree(v) for v in g.vertices)
+    for lam in range(1, top + 3):
+        keeps = _ni_keeps_every_edge(g, lam)
+        assert keeps == all(min(g.degree(u), g.degree(v)) <= lam for u, v in g.pairs)
+        if keeps:
+            assert ni_sparsify(g, lam).subgraph == g
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_ni_forests_are_maximal_and_disjoint(seed):
     rng = random.Random(seed)

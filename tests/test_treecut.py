@@ -28,7 +28,7 @@ from kcut.treecut import (
     TrialConfig,
     TrialSetting,
     _classify,
-    _deletion_scores,
+    _crossing_masks,
     _draw_green,
     _min_plus,
     _score_deletion,
@@ -839,6 +839,42 @@ class TestFillStates:
             assert states[t.root, k][0] == brute_tree_kcut(g, t, k).value
 
 
+def path_multigraph_and_tree(rng, n):
+    """A path on n vertices plus random edges, parallel ones too, and a random rooted spanning tree."""
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    extra = random_multigraph(rng, n, rng.randrange(0, 2 * n))
+    g = from_pairs(n, pairs + [extra.endpoints(e) for e in extra.edge_ids])
+    t = RootedTree.from_edge_ids(g, random_spanning_tree(rng, g).edge_ids, root=rng.randrange(n))
+    return g, t
+
+
+def sweep_ties(g, t, parts, skip=frozenset()):
+    """Check the sweep over every set of parts-1 tree edges outside skip; True if its minimum ties.
+
+    Each set's crossing-mask score (the popcount of the OR of its edges'
+    masks) must be its label score, which keeps skip in the tree; sets
+    come in combinations order of ascending ids, and `_sweep_cell` must
+    return the first cheapest.
+    """
+    ids, crossing = _crossing_masks(g, t, skip)
+    assert ids == sorted(t.edge_ids - skip)
+    combos = list(itertools.combinations(ids, parts - 1))
+    scores = []
+    for combo in itertools.combinations(range(len(ids)), parts - 1):
+        mask = 0
+        for i in combo:
+            mask |= crossing[i]
+        scores.append(bin(mask).count("1"))
+    assert len(scores) == len(combos)
+    best = None
+    for value, combo in zip(scores, combos):
+        assert value == _score_deletion(g, t, combo)
+        if best is None or value < best[0]:
+            best = (value, frozenset(combo))
+    assert _sweep_cell(g, t, parts, skip) == best
+    return scores.count(best[0]) > 1
+
+
 class TestScoreDeletion:
     def test_label_scoring_matches_partition_reference(self):
         rng = random.Random(31)
@@ -863,29 +899,28 @@ class TestScoreDeletion:
                     assert _score_deletion(g, t, combo) == want
 
     def test_bitmask_sweep_matches_label_scoring(self):
-        # every deletion set's path-mask score is its label score, and the
-        # sweep keeps the first cheapest set in combinations order
+        # every deletion set's crossing-mask score is its label score, and
+        # the sweep keeps the first cheapest set in combinations order
         rng = random.Random(59)
         ties = 0
         for _ in range(40):
-            n = rng.randrange(2, 13)
-            pairs = [(i, i + 1) for i in range(n - 1)]
-            extra = random_multigraph(rng, n, rng.randrange(0, 2 * n))
-            g = from_pairs(n, pairs + [extra.endpoints(e) for e in extra.edge_ids])
-            t = RootedTree.from_edge_ids(g, random_spanning_tree(rng, g).edge_ids,
-                                         root=rng.randrange(n))
-            for parts in range(2, min(4, n) + 1):
-                combos = list(itertools.combinations(sorted(t.edge_ids), parts - 1))
-                scores = list(_deletion_scores(g, t, parts))
-                assert [c for _, c in scores] == combos
-                best = None
-                for (value, _), combo in zip(scores, combos):
-                    want = _score_deletion(g, t, combo)
-                    assert value == want
-                    if best is None or want < best[0]:
-                        best = (want, frozenset(combo))
-                assert _sweep_cell(g, t, parts) == best
-                ties += sum(v == best[0] for v, _ in scores) > 1
+            g, t = path_multigraph_and_tree(rng, rng.randrange(2, 13))
+            for parts in range(2, min(4, g.n) + 1):
+                ties += sweep_ties(g, t, parts)
+        assert ties > 20
+
+    def test_sweep_with_skip_matches_label_scoring(self):
+        # skipped edges (tree_cut's safe edges) get no mask: the sets of
+        # the rest score as if skip were contracted, up to C(13, 3) of them
+        rng = random.Random(67)
+        ties = 0
+        for _ in range(60):
+            g, t = path_multigraph_and_tree(rng, rng.randrange(3, 15))
+            ids = sorted(t.edge_ids)
+            skip = frozenset(rng.sample(ids, rng.randrange(1, len(ids))))
+            for parts in range(2, min(4, len(ids) - len(skip) + 1) + 1):
+                assert math.comb(len(ids) - len(skip), parts - 1) <= treecut.SWEEP_MAX_SUBSETS
+                ties += sweep_ties(g, t, parts, skip)
         assert ties > 20
 
     def test_labels_name_component_tops(self):
