@@ -25,6 +25,7 @@ from .oracles import brute_min_kcut
 from .packing import greedy_tree_packing
 from .solver import MODES, SolverConfig, nontrivial_bound, solve_with_stats
 from .solver import sparsify_for_k, tree_count
+from .tree import RootedTree
 from .treecut import TrialConfig, tree_cut
 
 
@@ -187,12 +188,11 @@ def _cmd_treepack(args) -> dict:
     t0 = time.perf_counter()
     pack = greedy_tree_packing(g, count)
     t_run = time.perf_counter() - t0
-    trees = [sorted(t.edge_ids) for t in pack.trees]
     stats = {
         "count": count,
-        "distinct": len({frozenset(ids) for ids in trees}),
+        "distinct": len(set(pack.trees)),
         "max_load": max(pack.loads.values()) if pack.loads else 0,
-        "trees": trees,
+        "trees": [sorted(t) for t in pack.trees],
     }
     return build_report("treepack", n=g.n, m=g.m, k=k, stats=stats,
                         times=_times(args, parse=t_parse, run=t_run))
@@ -204,10 +204,10 @@ def _cmd_treecut(args) -> dict:
     trial = _trial_config(args)
     lam = nontrivial_bound(g, k)
     t0 = time.perf_counter()
-    tree = greedy_tree_packing(g, 1).trees[0]
-    sol = tree_cut(g, tree, lam, k, trial)
+    ids = greedy_tree_packing(g, 1).trees[0]
+    sol = tree_cut(g, RootedTree.from_edge_ids(g, ids), lam, k, trial)
     t_run = time.perf_counter() - t0
-    stats = {"lambda": lam, "tree_edges": sorted(tree.edge_ids), "trials": trial.trials}
+    stats = {"lambda": lam, "tree_edges": sorted(ids), "trials": trial.trials}
     return build_report("treecut", n=g.n, m=g.m, k=k, seed=trial.seed,
                         solution=solution_payload(g, labels, sol), stats=stats,
                         times=_times(args, parse=t_parse, run=t_run))

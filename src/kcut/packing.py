@@ -4,7 +4,9 @@ Packing repeatedly extracts a minimum-total-load spanning tree and bumps
 the load of every edge it used.  A cut of value c is crossed by an average
 packed tree about c/N times, so after enough rounds some tree crosses the
 optimal partition barely more than the unavoidable k-1 times.  The rounds
-settle into a cycle, which is replayed once it is seen.
+settle into a cycle, which is replayed once it is seen.  A packed tree is
+its set of edge ids; a caller that cuts one roots it with
+`RootedTree.from_edge_ids`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .tree import RootedTree
 
 @dataclass(frozen=True)
 class TreePack:
-    trees: Tuple[RootedTree, ...]
+    """Each round's tree as a frozenset of edge ids, and each edge's final load."""
+
+    trees: Tuple[FrozenSet[int], ...]
     loads: Dict[int, int]
 
 
@@ -29,36 +33,38 @@ def greedy_tree_packing(g: MultiGraph, count: int) -> TreePack:
     ties always favor the lowest identifier.  The key order depends only
     on the loads minus their minimum: once a round starts from normalized
     loads seen before, the rounds since then repeat and are copied.  A tree
-    packed in several rounds appears once per round, as one shared object.
+    packed in several rounds appears once per round, as one shared set.
     """
     if count < 1:
         raise ValueError("tree count must be positive")
     if g.n == 0 or connected_components(g).k != 1:
         raise ValueError("tree packing needs a connected graph with at least one vertex")
-    loads = {e: 0 for e in g.edge_ids}
-    ends = {e: g.endpoints(e) for e in g.edge_ids}
-    trees: List[RootedTree] = []
-    built: Dict[FrozenSet[int], RootedTree] = {}  # one object per edge set
+    ids = g.edge_ids
+    ends = [g.endpoints(e) for e in ids]
+    load = [0] * len(ids)  # indexed by position in ids
+    trees: List[FrozenSet[int]] = []
+    rounds: List[List[int]] = []  # each round's tree as positions in ids
+    shared: Dict[FrozenSet[int], FrozenSet[int]] = {}  # one object per edge set
     first: Dict[Tuple[int, ...], int] = {}  # normalized loads -> first round with them
     period = 0
     for r in range(count):
         if not period:
-            # the ids ascend, so a stable sort by load orders them by (load, id)
-            order = sorted(g.edge_ids, key=loads.__getitem__)
-            low = loads[order[0]] if order else 0
-            period = r - first.setdefault(tuple(x - low for x in loads.values()), r)
+            # ids ascend, so a stable sort of positions by load orders them by (load, id)
+            order = sorted(range(len(ids)), key=load.__getitem__)
+            low = load[order[0]] if order else 0
+            period = r - first.setdefault(tuple(x - low for x in load), r)
         if period:
-            t = trees[-period]
+            picked, t = rounds[-period], trees[-period]
         else:
             _, merged = union_find(g.n, map(ends.__getitem__, order))
-            chosen = frozenset(order[i] for i in merged)
-            t = built.get(chosen)
-            if t is None:
-                t = built[chosen] = RootedTree.from_edge_ids(g, chosen)
-        for e in t.edge_ids:
-            loads[e] += 1
+            picked = [order[i] for i in merged]
+            t = frozenset(ids[i] for i in picked)
+            t = shared.setdefault(t, t)
+        for i in picked:
+            load[i] += 1
+        rounds.append(picked)
         trees.append(t)
-    return TreePack(tuple(trees), loads)
+    return TreePack(tuple(trees), dict(zip(ids, load)))
 
 
 def crossing_edges(t: RootedTree, p: Partition) -> FrozenSet[int]:

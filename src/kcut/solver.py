@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import Infeasible
 from .graph import (
@@ -41,9 +41,9 @@ from .graph import (
     pull_back,
 )
 from .oracles import brute_min_kcut
-from .packing import greedy_tree_packing, is_tight
+from .packing import greedy_tree_packing
 from .tree import RootedTree
-from .treecut import TrialConfig, derived_seed, tree_cut
+from .treecut import TrialConfig, derived_seed, safe_classes, tree_cut
 
 if TYPE_CHECKING:
     from .sparsify import KTResult
@@ -141,7 +141,7 @@ class _Context:
         # vertices of the components whose own stage outgrew TREECUT_MAX_N:
         # every cell below them stages itself, as its DP may still fit
         self.oversized = 0
-        self.packed_trees: List[RootedTree] = []  # the top cell's; stats["packed_trees"] lists their ids
+        self.packed_trees: List[FrozenSet[int]] = []  # the top cell's distinct trees, as edge sets
 
     def split(self, alive: int) -> List[int]:
         """Components of the input restricted to alive, as masks in order of their lowest vertex."""
@@ -323,8 +323,10 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     cell's blocks are masks of input ids.  No tree cut, a k-cut of the
     stage, is worth less than the stage's Gomory-Hu bound: once lam or a
     tree's cut meets it, no further tree is cut, and lam at the bound
-    packs nothing unless the oracle cross-check reads the trees.  Every
-    tree cut reads its safe edges off the same Gomory-Hu tree.
+    packs nothing unless the oracle cross-check reads the trees.  Packed
+    trees are edge sets; only a tree about to be cut is rooted.  Every
+    tree cut reads its safe edges off the stage's `safe_classes` at lam,
+    taken once from the stage's Gomory-Hu tree.
     """
     cfg = ctx.config
     if stage.n < max(k, 2) or stage.n > TREECUT_MAX_N:
@@ -339,16 +341,17 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     count = tree_count(k, stage.n)
     pack = greedy_tree_packing(stage, count)
     ctx.stats["trees_packed"] += count
+    classes = safe_classes(gh, lam)
     best = None
-    for t in dict.fromkeys(pack.trees):  # the packing shares one object per edge set
+    for ids in dict.fromkeys(pack.trees):  # the packing shares one set per distinct tree
         if whole_input:
-            ctx.packed_trees.append(t)
+            ctx.packed_trees.append(ids)
         if lam <= bound or best is not None and best[0] <= bound:
             if whole_input:
                 continue  # the rest of the trees are still recorded
             break
-        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(t.edge_ids))))
-        sol = tree_cut(stage, t, lam, k, trial, gh)
+        trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(ids))))
+        sol = tree_cut(stage, RootedTree.from_edge_ids(stage, ids), lam, k, trial, classes)
         ctx.stats["trees_evaluated"] += 1
         # tree_cut scored the cut on stage, which is sub unless KT contracted it
         part_local, value = sol.partition, sol.value
@@ -391,7 +394,7 @@ def solve_with_stats(
         raise Infeasible("cannot cut %d vertices into %d parts" % (g.n, k))
     ctx = _Context(g, config, stats)
     value, blocks, provenance = _solve(ctx, ctx.top_alive, list(g.vertices), k)
-    stats["packed_trees"] = [tuple(sorted(t.edge_ids)) for t in ctx.packed_trees]
+    stats["packed_trees"] = [tuple(sorted(ids)) for ids in ctx.packed_trees]
     partition = Partition([v for v in g.vertices if b >> v & 1] for b in blocks)
     # re-scored from its partition, which must hold every vertex exactly once
     if len(partition.block_index()) != g.n:
@@ -406,7 +409,10 @@ def solve_with_stats(
         oracle = brute_min_kcut(g, k)
         stats["oracle_value"] = oracle.value
         stats["oracle_agrees"] = sol.value == oracle.value
-        stats["tight_tree_found"] = any(is_tight(t, oracle.partition) for t in ctx.packed_trees)
+        # a tree crosses the oracle's partition exactly at its edges in the oracle's cut
+        tight = oracle.partition.k - 1
+        stats["tight_tree_found"] = any(
+            len(oracle.cut_edges & ids) == tight for ids in ctx.packed_trees)
     return sol, stats
 
 

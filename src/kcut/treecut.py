@@ -686,10 +686,22 @@ def fill_states(
     return states
 
 
+def safe_classes(gh: Tuple[List[int], List[int]], lam: int) -> List[int]:
+    """Per vertex, its class under the Gomory-Hu edges heavier than lam; gh is `gomory_hu`'s tree.
+
+    The classes depend only on the graph and lam, so a stage that cuts
+    many trees under one lam takes them once and passes them to each
+    `tree_cut`.
+    """
+    parent, weight = gh
+    heavy = [(v, parent[v]) for v in range(1, len(parent)) if weight[v] > lam]
+    return union_find(len(parent), heavy)[0]
+
+
 def safe_tree_edges(
-    g: MultiGraph, t: RootedTree, lam: int, gh: Optional[Tuple[List[int], List[int]]] = None
+    g: MultiGraph, t: RootedTree, lam: int, classes: Optional[List[int]] = None
 ) -> FrozenSet[int]:
-    """Tree edges no small cut can cross, read off gh, g's `gomory_hu` tree (built if None).
+    """Tree edges no small cut can cross: those inside one of g's `safe_classes` (built if None).
 
     If the cheapest way to separate a tree edge's endpoints costs more
     than lam, no k-cut of value at most lam separates them either, so the
@@ -697,15 +709,15 @@ def safe_tree_edges(
     then `quotient` through its map).  That cost is the lightest weight on
     the ends' Gomory-Hu path, so the ends lie in one class of the Gomory-Hu
     edges heavier than lam; every cut of value at most lam keeps each class
-    whole, so contracting them all at once keeps every such cut.  An end of
-    degree at most lam caps that cost at lam, so when every tree edge has
-    one the set is empty and no Gomory-Hu tree is built.
+    whole, so contracting them all at once keeps every such cut.  Without
+    classes, an end of degree at most lam caps that cost at lam, so when
+    every tree edge has one the set is empty and no Gomory-Hu tree is built.
     """
-    if gh is None and all(min(map(g.degree, g.endpoints(e))) <= lam for e in t.edge_ids):
-        return frozenset()
-    parent, weight = gomory_hu(g) if gh is None else gh
-    labels = union_find(g.n, [(v, parent[v]) for v in range(1, g.n) if weight[v] > lam])[0]
-    return frozenset(e for e in t.edge_ids for u, v in [g.endpoints(e)] if labels[u] == labels[v])
+    if classes is None:
+        if all(min(map(g.degree, g.endpoints(e))) <= lam for e in t.edge_ids):
+            return frozenset()
+        classes = safe_classes(gomory_hu(g), lam)
+    return frozenset(e for e in t.edge_ids for u, v in [g.endpoints(e)] if classes[u] == classes[v])
 
 
 def tree_cut(
@@ -714,7 +726,7 @@ def tree_cut(
     lam: int,
     k: int,
     config: TrialConfig,
-    gh: Optional[Tuple[List[int], List[int]]] = None,
+    classes: Optional[List[int]] = None,
 ) -> KCutSolution:
     """Best k-cut found by deleting k-1 edges of the given spanning tree.
 
@@ -723,8 +735,8 @@ def tree_cut(
     at most lam, exhaustive trials recover that minimum exactly.  If at
     most SWEEP_MAX_SUBSETS sets of k-1 edges avoid the `safe_tree_edges`,
     they are swept at the root alone, on the uncontracted tree; otherwise
-    the DP runs with that same safe set contracted.  gh is g's Gomory-Hu
-    tree, as in `safe_tree_edges`.
+    the DP runs with that same safe set contracted.  classes are g's
+    `safe_classes` at lam, as in `safe_tree_edges`.
     """
     if t.n != g.n:
         raise ValueError("tree does not span the graph")
@@ -733,7 +745,7 @@ def tree_cut(
     if k == 1:
         p = Partition([set(g.vertices)])
         return KCutSolution(0, p, frozenset(), "treecut")
-    safe = safe_tree_edges(g, t, lam, gh)
+    safe = safe_tree_edges(g, t, lam, classes)
     if t.n - len(safe) < k:
         # no k-cut costs at most lam: lam is below this stage's optimum;
         # fall back to the uncontracted tree, which always has k parts

@@ -6,6 +6,7 @@ from collections import deque
 from fractions import Fraction
 
 from kcut.graph import KCutSolution, MultiGraph, Partition, cut_edge_set
+from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree
 
 
@@ -143,6 +144,11 @@ def reference_tree_packing(g, count):
             loads[e] += 1
         trees.append(frozenset(chosen))
     return trees, loads
+
+
+def rooted_packing(g, count):
+    """Each round's tree of a `count`-round greedy packing of g, rooted at 0."""
+    return [RootedTree.from_edge_ids(g, ids) for ids in greedy_tree_packing(g, count).trees]
 
 
 def random_connected_multigraph(rng: random.Random, n, extra):

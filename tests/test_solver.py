@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kcut.errors import Infeasible
 from kcut.graph import connected_components, cut_edge_set, cut_value, induced_subgraph, is_simple
 from kcut.oracles import OracleBudget, brute_min_kcut, brute_tree_kcut
-from kcut.packing import greedy_tree_packing, is_tight
+from kcut.packing import is_tight
 from kcut.solver import SolverConfig, min_kcut, nontrivial_bound, solve_with_stats, tree_count
 import kcut.solver as solver
 import kcut.treecut as treecut
@@ -18,11 +18,13 @@ from kcut.treecut import TrialConfig
 
 from helpers import (
     complete_graph,
+    cycle_graph,
     from_pairs,
     random_connected_graph,
     random_connected_multigraph,
     random_multigraph,
     random_simple_graph,
+    rooted_packing,
     star_graph,
 )
 
@@ -254,6 +256,41 @@ class TestGomoryHuBound:
         assert sum(b["trees_evaluated"] for _, b in bounded) < sum(b["trees_evaluated"] for _, b in plain)
 
 
+class TestLazyRooting:
+    """The tree stage roots a packed tree, an edge set, only to cut it."""
+
+    @staticmethod
+    def rootings(monkeypatch):
+        rooted = []
+        real = RootedTree.from_edge_ids.__func__
+
+        def counted(cls, g, ids, root=0):
+            rooted.append(g.n)
+            return real(cls, g, ids, root)
+
+        monkeypatch.setattr(RootedTree, "from_edge_ids", classmethod(counted))
+        return rooted
+
+    @pytest.mark.parametrize("sizes, links, k, cut", [
+        ((7, 7), 2, 2, 1),  # the first tree's cut meets the bound: 13 trees are never cut
+        ((6, 6, 5), 2, 3, 30),  # every distinct tree is cut
+    ])
+    def test_only_the_cut_trees_are_rooted(self, monkeypatch, sizes, links, k, cut):
+        rooted = self.rootings(monkeypatch)
+        _, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques(sizes, links), k)
+        assert len(rooted) == stats["trees_evaluated"] == cut
+        assert len(stats["packed_trees"]) >= cut
+
+    def test_trees_packed_only_for_the_oracle_are_never_rooted(self, monkeypatch):
+        # C8 at k=2: the incumbent 2 meets the Gomory-Hu bound 2, so the
+        # trees are packed for the cross-check alone
+        rooted = self.rootings(monkeypatch)
+        _, stats = solve_with_stats(cycle_graph(8), 2)
+        assert stats["lower_bound"] == 2 and stats["trees_evaluated"] == 0
+        assert len(stats["packed_trees"]) == 8 and stats["tight_tree_found"] is True
+        assert rooted == []
+
+
 class TestAgainstOracle:
     def test_sound_and_usually_exact(self):
         rng = random.Random(42)
@@ -472,8 +509,9 @@ class TestBranchingCells:
         assert sizes and max(sizes) <= solver.TREECUT_MAX_N
 
     def test_each_tree_stage_runs_only_its_gomory_hu_flows(self, monkeypatch):
-        # the stage's Gomory-Hu tree answers every tree cut's safe-edge
-        # question, so its one tree holds all the flows the stage runs
+        # the safe classes the stage takes from its Gomory-Hu tree answer
+        # every tree cut's safe-edge question, so that one tree holds all
+        # the flows the stage runs
         stages, callers, cuts = [], [], []
         real_stage, real_cut, real_gh = solver._tree_stage, solver.tree_cut, solver.gomory_hu
 
@@ -483,9 +521,10 @@ class TestBranchingCells:
             stages.append((staged.n, list(callers)))
             return cell
 
-        def cut(g, t, lam, k, config, gh):
+        def cut(g, t, lam, k, config, classes):
+            assert classes == treecut.safe_classes(real_gh(g), lam)  # the stage's, at this lam
             before = len(callers)
-            sol = real_cut(g, t, lam, k, config, gh)
+            sol = real_cut(g, t, lam, k, config, classes)
             cuts.append(len(callers) - before)
             return sol
 
@@ -499,7 +538,7 @@ class TestBranchingCells:
         monkeypatch.setattr(treecut, "gomory_hu", gomory_hu)
         _, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques((5, 5, 4), 2), 3)
         assert stats["trees_evaluated"] == len(cuts) == 20
-        assert cuts == [0] * 20  # given the Gomory-Hu tree, tree_cut builds none
+        assert cuts == [0] * 20  # given the safe classes, tree_cut builds no Gomory-Hu tree
         assert stages == [(14, [("_tree_stage", 14)])]  # one stage, the whole input
 
     @settings(max_examples=60, deadline=None)
@@ -537,7 +576,7 @@ class TestKnownDefects:
     @pytest.mark.parametrize("trials", [16, "exhaustive"])
     def test_d2_tree_dp_overcharges(self, monkeypatch, trials):
         g = TestPinnedTrialCells.chained_cliques((8, 8, 8), 3)
-        t = greedy_tree_packing(g, 4).trees[0]
+        t = rooted_packing(g, 4)[0]
         monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)  # the sweep finds the optimum
         # 13 against 6
         assert treecut.tree_cut(g, t, 63, 3, TrialConfig(trials=trials)).value == \

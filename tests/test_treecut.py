@@ -17,7 +17,6 @@ from kcut.graph import (
     union_find,
 )
 from kcut.oracles import brute_min_ancestor_cut, brute_min_kcut, brute_tree_kcut
-from kcut.packing import greedy_tree_packing
 from kcut.tree import RootedTree, build_hld, forest_components, forest_labels, tree_quotient
 import kcut.treecut as treecut
 from kcut.treecut import (
@@ -43,6 +42,7 @@ from kcut.treecut import (
     fill_states,
     group_components,
     incomparable_edges,
+    safe_classes,
     safe_tree_edges,
     tree_cut,
 )
@@ -58,6 +58,7 @@ from helpers import (
     random_connected_multigraph,
     random_multigraph,
     reference_min_st_cut,
+    rooted_packing,
 )
 
 EXH = TrialConfig(seed=7, trials="exhaustive")
@@ -202,13 +203,13 @@ class TestContractSafeEdgesReference:
                 pairs += [rng.choice(pairs) for _ in range(rng.randrange(1, 2 * n))]
                 g = from_pairs(n, pairs)
             delta = g.min_degree()
-            for t in greedy_tree_packing(g, 3).trees:
+            for t in rooted_packing(g, 3):
                 for lam in sorted({1, 2, 3, delta, 4 * delta}):
                     g2, t2, cmap = safe_quotient(g, t, lam)
                     r_g, r_t, r_map = reference_contract_safe_edges(g, t, lam)
                     safe = t.edge_ids - r_t.edge_ids
                     assert safe_tree_edges(g, t, lam) == safe
-                    assert safe_tree_edges(g, t, lam, gomory_hu(g)) == safe
+                    assert safe_tree_edges(g, t, lam, safe_classes(gomory_hu(g), lam)) == safe
                     assert g2 == r_g
                     assert (t2.n, t2.root, sorted(t2.edges())) == \
                         (r_t.n, r_t.root, sorted(r_t.edges()))
@@ -220,7 +221,7 @@ class TestContractSafeEdgesReference:
         # a 12-cycle with chords 0-6 and 3-9: degrees 2 and 3, every pair
         # 2-connected; an edge with an end of degree <= lam is never safe
         g = from_pairs(12, list(cycle_graph(12).pairs) + [(0, 6), (3, 9)])
-        t = greedy_tree_packing(g, 1).trees[0]
+        t = rooted_packing(g, 1)[0]
         calls = []
         real = treecut.gomory_hu
         monkeypatch.setattr(treecut, "gomory_hu", lambda h: calls.append(h) or real(h))
@@ -967,7 +968,7 @@ class TestTreeCut:
         # k=3 is below the optimum 12, so every K12 tree edge looks safe and
         # contraction leaves fewer than k vertices
         g = from_pairs(13, list(complete_graph(12).pairs) + [(0, 12)])
-        t = greedy_tree_packing(g, 1).trees[0]
+        t = rooted_packing(g, 1)[0]
         assert safe_quotient(g, t, 9)[0].n < 3
         sol = tree_cut(g, t, 9, 3, EXH)
         assert sol.partition.k == 3 and cut_value(g, sol.partition) == sol.value
@@ -1057,7 +1058,7 @@ class TestTreeCut:
         # pattern is tried once per green set; value and cut edges were
         # captured before the trial engine moved to flat per-vertex lists
         g = random_connected_graph(random.Random(seed), n, extra)
-        t = greedy_tree_packing(g, 1).trees[0]
+        t = rooted_packing(g, 1)[0]
         monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=4, trials="exhaustive")
         sol = tree_cut(g, t, 12, 3, cfg)
@@ -1074,7 +1075,7 @@ class TestTreeCut:
         # state table; value and cut edges were captured while tree_cut
         # still looped over rank-preprocessing candidates
         g = random_connected_graph(random.Random(seed), n, extra)
-        t = greedy_tree_packing(g, 1).trees[0]
+        t = rooted_packing(g, 1)[0]
         monkeypatch.setattr(treecut, "SWEEP_MAX_SUBSETS", 0)
         cfg = TrialConfig(seed=2, trials=6)
         sol = tree_cut(g, t, lam, 5, cfg)
@@ -1129,7 +1130,7 @@ class TestTreeCutReference:
         k = min(k, n)
         rng = random.Random(seed)
         g = random_connected_multigraph(rng, n, extra)
-        trees = greedy_tree_packing(g, 4).trees
+        trees = rooted_packing(g, 4)
         t = trees[rng.randrange(len(trees))]
         # from 0, where every tree edge is safe and tree_cut falls back to
         # the whole tree, to above the optimum, where few or none are
@@ -1145,7 +1146,7 @@ class TestTreeCutReference:
             n = rng.randrange(2, 13)
             g = random_connected_multigraph(rng, n, rng.randrange(0, 21))
             k = min(rng.randrange(2, 5), n)
-            t = greedy_tree_packing(g, 2).trees[-1]
+            t = rooted_packing(g, 2)[-1]
             lam = rng.randrange(0, singleton_bound(g, k) + 3)
             sol = tree_cut(g, t, lam, k, EXH)
             assert (sol.value, sol.partition, sol.cut_edges) == \
@@ -1166,7 +1167,7 @@ class TestTreeCutReference:
             monkeypatch.setattr(treecut, name, forbidden)
         g = from_pairs(10, list(complete_graph(5).pairs)
                        + [(u + 5, v + 5) for u, v in complete_graph(5).pairs] + [(4, 5)])
-        t = greedy_tree_packing(g, 1).trees[0]
+        t = rooted_packing(g, 1)[0]
         assert treecut.safe_tree_edges(g, t, 1) == t.edge_ids - {20}
         sol = tree_cut(g, t, 1, 2, EXH)
         assert sol.value == 1 and sol.cut_edges == {20}
@@ -1182,7 +1183,7 @@ class TestTreeCutReference:
             n = rng.randrange(3, 9)
             g = random_connected_multigraph(rng, n, rng.randrange(0, 10))
             k = rng.randrange(2, 4)
-            t = greedy_tree_packing(g, 1).trees[0]
+            t = rooted_packing(g, 1)[0]
             lam = rng.randrange(1, singleton_bound(g, k) + 3)  # trials need lam >= 1
             cfg = TrialConfig(seed=rng.randrange(100), trials=4)
             sol = tree_cut(g, t, lam, k, cfg)
@@ -1198,7 +1199,7 @@ class TestTreeCutReference:
         # K8's 7 tree edges are safe at lam=5 and the 20 cycle edges are not;
         # C(20, 3) > SWEEP_MAX_SUBSETS, so the DP fills the 21-vertex contraction
         g = clique_on_a_cycle()
-        t = greedy_tree_packing(g, 1).trees[0]
+        t = rooted_packing(g, 1)[0]
         seen = {"safe_tree_edges": [], "fill_states": []}
         for name, calls in seen.items():
             def spy(*args, real=getattr(treecut, name), calls=calls):
