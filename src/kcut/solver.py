@@ -16,8 +16,9 @@ the real graph, so the returned minimum is always an upper bound on the
 optimum and matches it whenever either path can express an optimal
 partition.  A tree stage first takes its graph's Gomory-Hu lower bound:
 when the incumbent already meets it, no tree cut can beat it and nothing
-is packed (unless the oracle cross-check reads the trees); otherwise the
-scan stops at the first tree cut that meets it.  A cell holds only its
+is packed; otherwise the scan stops at the first tree cut that meets it.
+The search does not depend on the mode: the oracle cross-check runs
+after it and only reads the trees it recorded.  A cell holds only its
 value, blocks (kept as masks) and provenance; the answer's partition and
 cut edges are built once, from the top cell's blocks.
 """
@@ -71,8 +72,9 @@ class SolverConfig:
     mode is one of two: "auto" runs singleton branching and the tree
     stage, then checks graphs of at most ORACLE_MAX_N vertices against
     the brute-force oracle.  "treecut_only" skips only that check:
-    singleton branching still runs and may supply the answer.  The
-    oracle alone is `brute_min_kcut`.
+    singleton branching still runs and may supply the answer.  Both run
+    the same search, which the check only reads.  The oracle alone is
+    `brute_min_kcut`.
     """
 
     trial: TrialConfig = TrialConfig()
@@ -321,12 +323,12 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
 
     sub is the input induced on alive, whose vertex i is order[i]; the
     cell's blocks are masks of input ids.  No tree cut, a k-cut of the
-    stage, is worth less than the stage's Gomory-Hu bound: once lam or a
-    tree's cut meets it, no further tree is cut, and lam at the bound
-    packs nothing unless the oracle cross-check reads the trees.  Packed
-    trees are edge sets; only a tree about to be cut is rooted.  Every
-    tree cut reads its safe edges off the stage's `safe_classes` at lam,
-    taken once from the stage's Gomory-Hu tree.
+    stage, is worth less than the stage's Gomory-Hu bound: lam at the
+    bound packs nothing, and once a tree's cut meets it no further tree
+    is cut.  A stage that is the input records its distinct trees in
+    ctx.packed_trees.  Packed trees are edge sets; only a tree about to
+    be cut is rooted.  Every tree cut reads its safe edges off the
+    stage's `safe_classes` at lam, taken once from its Gomory-Hu tree.
     """
     cfg = ctx.config
     if stage.n < max(k, 2) or stage.n > TREECUT_MAX_N:
@@ -336,20 +338,17 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     whole_input = alive == ctx.top_alive and kt_map is None  # the stage is the input
     if whole_input:
         ctx.stats["lower_bound"] = bound
-    if lam <= bound and not (whole_input and cfg.mode == "auto" and stage.n <= ORACLE_MAX_N):
+    if lam <= bound:
         return None
     count = tree_count(k, stage.n)
     pack = greedy_tree_packing(stage, count)
     ctx.stats["trees_packed"] += count
+    trees = list(dict.fromkeys(pack.trees))  # the packing shares one set per distinct tree
+    if whole_input:
+        ctx.packed_trees = trees
     classes = safe_classes(gh, lam)
     best = None
-    for ids in dict.fromkeys(pack.trees):  # the packing shares one set per distinct tree
-        if whole_input:
-            ctx.packed_trees.append(ids)
-        if lam <= bound or best is not None and best[0] <= bound:
-            if whole_input:
-                continue  # the rest of the trees are still recorded
-            break
+    for ids in trees:
         trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(ids))))
         sol = tree_cut(stage, RootedTree.from_edge_ids(stage, ids), lam, k, trial, classes)
         ctx.stats["trees_evaluated"] += 1
@@ -360,8 +359,8 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
             value = cut_value(sub, part_local)
         if best is None or value < best[0]:
             best = (value, part_local)
-    if best is None:
-        return None
+            if value <= bound:
+                break  # no tree cut is worth less
     value, part_local = best
     return value, tuple(_mask(order[v] for v in b) for b in part_local.blocks), "treecut"
 
@@ -411,8 +410,9 @@ def solve_with_stats(
         stats["oracle_agrees"] = sol.value == oracle.value
         # a tree crosses the oracle's partition exactly at its edges in the oracle's cut
         tight = oracle.partition.k - 1
-        stats["tight_tree_found"] = any(
-            len(oracle.cut_edges & ids) == tight for ids in ctx.packed_trees)
+        if ctx.packed_trees:
+            stats["tight_tree_found"] = any(
+                len(oracle.cut_edges & ids) == tight for ids in ctx.packed_trees)
     return sol, stats
 
 

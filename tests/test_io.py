@@ -208,12 +208,22 @@ class TestCli:
 
     def test_solve_reports_the_certified_bound(self, tmp_path, capsys):
         # the bridge is the lightest Gomory-Hu edge, so the bound is 1 and
-        # the answer meets it
+        # the answer meets it; the branching incumbent 3 does not, so the
+        # stage packs trees and cuts them
         path = write(tmp_path, "bridge.txt", bridge_text())
         code, report = run_json(capsys, ["solve", "--k", "2", "--no-timing", path])
         assert code == 0
         stats = report["stats"]
         assert (stats["lower_bound"], stats["gap"], stats["certified"]) == (1, 0, True)
+        assert stats["trees_packed"] > 0 and stats["tight_tree_found"] is True
+        # on C8 the incumbent 2 already meets the bound 2: nothing is packed
+        path = write(tmp_path, "c8.txt", serialize_graph(cycle_graph(8)))
+        code, report = run_json(capsys, ["solve", "--k", "2", "--no-timing", path])
+        assert code == 0
+        stats = report["stats"]
+        assert (stats["lower_bound"], stats["gap"], stats["certified"]) == (2, 0, True)
+        assert stats["trees_packed"] == 0 and stats["tight_tree_found"] is None
+        assert stats["oracle_agrees"] is True
 
     def test_oracle_cycle(self, tmp_path, capsys):
         path = write(tmp_path, "c6.txt", serialize_graph(cycle_graph(6)))

@@ -161,11 +161,30 @@ class TestModes:
             _, stats = solve_with_stats(g, k)
             best = brute_min_kcut(g, k).partition
             flags = [is_tight(RootedTree.from_edge_ids(g, ids), best) for ids in stats["packed_trees"]]
-            assert stats["tight_tree_found"] is any(flags)
+            assert stats["tight_tree_found"] is (any(flags) if flags else None)
             first_only += flags[:1] == [True] and not any(flags[1:])
         assert first_only >= 3
         _, stats = solve_with_stats(two_triangles(), 2)  # disconnected: nothing packed
-        assert stats["packed_trees"] == [] and stats["tight_tree_found"] is False
+        assert stats["packed_trees"] == [] and stats["tight_tree_found"] is None
+
+    def test_both_modes_run_one_search(self):
+        # the modes differ only in the cross-check: the same answer and the
+        # same stats, but for the mode and the oracle's fields
+        rng = random.Random(17)
+        cross_check = ("mode", "oracle_value", "oracle_agrees", "tight_tree_found")
+        for i in range(200):
+            n = rng.randrange(2, 12)
+            if i % 3:
+                g = random_connected_multigraph(rng, n, rng.randrange(0, 2 * n))
+            else:
+                g = random_multigraph(rng, n, rng.randrange(0, 3 * n))  # may be disconnected
+            k = rng.randrange(1, min(4, n) + 1)
+            runs = []
+            for mode in ("auto", "treecut_only"):
+                sol, stats = solve_with_stats(g, k, SolverConfig(mode=mode))
+                searched = {key: v for key, v in stats.items() if key not in cross_check}
+                runs.append((sol.value, sol.partition, sol.cut_edges, sol.provenance, searched))
+            assert runs[0] == runs[1], (i, n, k)
 
 
 class TestSparsifierGate:
@@ -206,7 +225,8 @@ class TestGomoryHuBound:
                 assert stats["gap"] is None and stats["certified"] is None
                 continue
             assert bound <= stats["oracle_value"] <= sol.value
-            assert stats["packed_trees"]  # packed for the cross-check, even when none is cut
+            if not stats["packed_trees"]:  # the bound settled the stage, so nothing was packed
+                assert stats["certified"] is True and stats["tight_tree_found"] is None
             assert stats["gap"] == sol.value - bound
             assert stats["certified"] is (stats["gap"] == 0)
             if stats["certified"]:
@@ -281,13 +301,15 @@ class TestLazyRooting:
         assert len(rooted) == stats["trees_evaluated"] == cut
         assert len(stats["packed_trees"]) >= cut
 
-    def test_trees_packed_only_for_the_oracle_are_never_rooted(self, monkeypatch):
+    def test_no_tree_is_packed_when_the_bound_settles_the_stage(self, monkeypatch):
         # C8 at k=2: the incumbent 2 meets the Gomory-Hu bound 2, so the
-        # trees are packed for the cross-check alone
+        # oracle cross-check runs without any packed tree
         rooted = self.rootings(monkeypatch)
         _, stats = solve_with_stats(cycle_graph(8), 2)
         assert stats["lower_bound"] == 2 and stats["trees_evaluated"] == 0
-        assert len(stats["packed_trees"]) == 8 and stats["tight_tree_found"] is True
+        assert stats["trees_packed"] == 0 and stats["packed_trees"] == []
+        assert stats["tight_tree_found"] is None and stats["certified"] is True
+        assert stats["oracle_agrees"] is True
         assert rooted == []
 
 
