@@ -22,7 +22,7 @@ from .io import (
     solution_payload,
 )
 from .oracles import brute_min_kcut
-from .packing import greedy_tree_packing
+from .packing import greedy_tree_packing, packing_rounds
 from .solver import MODES, SolverConfig, nontrivial_bound, solve_with_stats
 from .solver import sparsify_for_k, tree_count
 from .tree import RootedTree
@@ -204,7 +204,7 @@ def _cmd_treecut(args) -> dict:
     trial = _trial_config(args)
     lam = nontrivial_bound(g, k)
     t0 = time.perf_counter()
-    ids = greedy_tree_packing(g, 1).trees[0]
+    ids = next(packing_rounds(g))
     sol = tree_cut(g, RootedTree.from_edge_ids(g, ids), lam, k, trial)
     t_run = time.perf_counter() - t0
     stats = {"lambda": lam, "tree_edges": sorted(ids), "trials": trial.trials}

@@ -7,16 +7,18 @@ those masks, and it builds no subgraph.  In cells whose vertex set is a
 whole connected component of the input, it then scans a greedy
 spanning-tree packing with the tree-cut dynamic program, passing the
 branching incumbent as the cut budget lambda; dense components are
-sparsified first.  When a component's stage is over TREECUT_MAX_N, every
-cell below it runs its own tree stage the same way, since the DP may fit
-there.  Only these cells build an induced subgraph, and only when the DP
-may run on it: the sparsifier gate fires or the cell has at most
-TREECUT_MAX_N vertices.  Both paths produce feasible cuts scored against
+sparsified first, unless KT would leave fewer than max(k, 2) vertices.
+When a component's stage is over TREECUT_MAX_N, every cell below it
+runs its own tree stage the same way, since the DP may fit there.  Only
+these cells build an induced subgraph, and only when the DP may run on
+it: the sparsifier gate fires or the cell has at most TREECUT_MAX_N
+vertices.  Both paths produce feasible cuts scored against
 the real graph, so the returned minimum is always an upper bound on the
 optimum and matches it whenever either path can express an optimal
 partition.  A tree stage first takes its graph's Gomory-Hu lower bound:
 when the incumbent already meets it, no tree cut can beat it and nothing
-is packed; otherwise the scan stops at the first tree cut that meets it.
+is packed; otherwise it draws packing rounds one at a time, cuts each new
+tree as it appears, and draws no more after the first cut that meets it.
 The search does not depend on the mode: the oracle cross-check runs
 after it and only reads the trees it recorded.  A cell holds only its
 value, blocks (kept as masks) and provenance; the answer's partition and
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import Infeasible
@@ -42,7 +45,7 @@ from .graph import (
     pull_back,
 )
 from .oracles import brute_min_kcut
-from .packing import greedy_tree_packing
+from .packing import packing_rounds
 from .tree import RootedTree
 from .treecut import TrialConfig, derived_seed, safe_classes, tree_cut
 
@@ -51,8 +54,8 @@ if TYPE_CHECKING:
 
 MODES = ("auto", "treecut_only")
 KT_CONSTANT = 4.0  # scales the minimum-degree gate in front of the sparsifier
-PACK_CONSTANT = 3.0  # scales the number of packed trees
-PACK_CAP = 64  # most trees packed per tree stage
+PACK_CONSTANT = 3.0  # scales the number of packing rounds
+PACK_CAP = 64  # most packing rounds per tree stage
 TREECUT_MAX_N = 32  # largest graph the tree stage attempts
 ORACLE_MAX_N = 10  # largest graph the brute-force oracle checks
 
@@ -86,7 +89,10 @@ class SolverConfig:
 
 
 def tree_count(k: int, n: int) -> int:
-    """Trees to pack for a k-cut of an n-vertex graph: PACK_CONSTANT*k^3*ln n, capped."""
+    """Packing rounds for a k-cut of an n-vertex graph: PACK_CONSTANT*k^3*ln n, capped.
+
+    A tree stage draws at most this many; it stops early once a cut meets its bound.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     return max(1, min(math.ceil(PACK_CONSTANT * k ** 3 * math.log(max(n, 2))), PACK_CAP))
@@ -143,7 +149,7 @@ class _Context:
         # vertices of the components whose own stage outgrew TREECUT_MAX_N:
         # every cell below them stages itself, as its DP may still fit
         self.oversized = 0
-        self.packed_trees: List[FrozenSet[int]] = []  # the top cell's distinct trees, as edge sets
+        self.packed_trees: List[FrozenSet[int]] = []  # the top cell's distinct trees drawn, as edge sets
 
     def split(self, alive: int) -> List[int]:
         """Components of the input restricted to alive, as masks in order of their lowest vertex."""
@@ -298,7 +304,10 @@ def _stage(ctx, alive, order, sub, k: int, gate: bool) -> Tuple[MultiGraph, Opti
     """The graph the tree DP sees: sub, or its NI/KT sparsifier when the gate fires.
 
     Returns the stage and the map from sub's vertices to the stage's
-    (None when sub is not contracted).
+    (None when sub is not sparsified).  When KT leaves fewer than max(k, 2)
+    vertices, no k-cut of its quotient exists, so a sub of at most
+    TREECUT_MAX_N vertices is staged uncontracted, under the identity map:
+    the cell still counts as sparsified and reports no lower bound.
     """
     if not (gate and ctx.simple(alive, order)):
         return sub, None
@@ -307,6 +316,8 @@ def _stage(ctx, alive, order, sub, k: int, gate: bool) -> Tuple[MultiGraph, Opti
     if alive == ctx.top_alive:
         ctx.stats["ni_edges"] = ni.m
         ctx.stats["kt_iterations"] = len(kt.iterations)
+    if kt.contracted.n < max(k, 2) and sub.n <= TREECUT_MAX_N:
+        return sub, ContractionMap.identity(sub.n)
     return kt.contracted, kt.map
 
 
@@ -322,37 +333,38 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
     """Best tree-packing cut of sub; lam is a known k-cut value, so lam >= OPT.
 
     sub is the input induced on alive, whose vertex i is order[i]; the
-    cell's blocks are masks of input ids.  No tree cut, a k-cut of the
-    stage, is worth less than the stage's Gomory-Hu bound: lam at the
-    bound packs nothing, and once a tree's cut meets it no further tree
-    is cut.  A stage that is the input records its distinct trees in
-    ctx.packed_trees.  Packed trees are edge sets; only a tree about to
-    be cut is rooted.  Every tree cut reads its safe edges off the
-    stage's `safe_classes` at lam, taken once from its Gomory-Hu tree.
+    cell's blocks are masks of input ids.  The stage draws at most
+    tree_count(k, stage.n) packing rounds, one at a time, and cuts each
+    tree the first time it is drawn.  No tree cut, a k-cut of the stage,
+    is worth less than the stage's Gomory-Hu bound: lam at the bound
+    packs nothing, and once a tree's cut meets it no further round is
+    drawn.  A stage that is the unsparsified input records the distinct
+    trees it drew in ctx.packed_trees.  Packed trees are edge sets, rooted
+    only to be cut.  Every tree cut reads its safe edges off the stage's
+    `safe_classes` at lam, taken once from its Gomory-Hu tree.
     """
     cfg = ctx.config
     if stage.n < max(k, 2) or stage.n > TREECUT_MAX_N:
         return None
     gh = gomory_hu(stage)
     bound = _stage_bound(gh[1][1:], k)
-    whole_input = alive == ctx.top_alive and kt_map is None  # the stage is the input
+    whole_input = alive == ctx.top_alive and kt_map is None  # the stage is the unsparsified input
     if whole_input:
         ctx.stats["lower_bound"] = bound
     if lam <= bound:
         return None
-    count = tree_count(k, stage.n)
-    pack = greedy_tree_packing(stage, count)
-    ctx.stats["trees_packed"] += count
-    trees = list(dict.fromkeys(pack.trees))  # the packing shares one set per distinct tree
-    if whole_input:
-        ctx.packed_trees = trees
     classes = safe_classes(gh, lam)
+    drawn: Dict[FrozenSet[int], None] = {}  # the distinct trees drawn, in order
     best = None
-    for ids in trees:
+    for ids in islice(packing_rounds(stage), tree_count(k, stage.n)):
+        ctx.stats["trees_packed"] += 1
+        if ids in drawn:  # the packing yields one shared set per distinct tree
+            continue
+        drawn[ids] = None
         trial = replace(cfg.trial, seed=derived_seed(cfg.trial.seed, tuple(sorted(ids))))
         sol = tree_cut(stage, RootedTree.from_edge_ids(stage, ids), lam, k, trial, classes)
         ctx.stats["trees_evaluated"] += 1
-        # tree_cut scored the cut on stage, which is sub unless KT contracted it
+        # tree_cut scored the cut on stage, which is sub unless the cell was sparsified
         part_local, value = sol.partition, sol.value
         if kt_map is not None:
             part_local = pull_back(part_local, kt_map, sub.n)
@@ -360,7 +372,9 @@ def _tree_stage(ctx, alive, sub, order, k: int, lam: int, stage, kt_map) -> Opti
         if best is None or value < best[0]:
             best = (value, part_local)
             if value <= bound:
-                break  # no tree cut is worth less
+                break  # no tree cut is worth less: draw no more trees
+    if whole_input:
+        ctx.packed_trees = list(drawn)
     value, part_local = best
     return value, tuple(_mask(order[v] for v in b) for b in part_local.blocks), "treecut"
 

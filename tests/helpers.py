@@ -73,7 +73,12 @@ def random_connected_graph(rng: random.Random, n, extra):
 
 
 def random_multigraph(rng: random.Random, n, m):
-    """n vertices, m edges sampled with replacement (parallels likely)."""
+    """n vertices, m edges sampled with replacement (parallels likely).
+
+    Raises ValueError, before any draw, when m > 0 edges cannot fit on n < 2 vertices.
+    """
+    if m > 0 and n < 2:
+        raise ValueError("%d edges need at least two vertices, not %d" % (m, n))
     pairs = []
     while len(pairs) < m:
         u, v = rng.randrange(n), rng.randrange(n)

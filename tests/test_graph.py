@@ -187,6 +187,18 @@ def test_connected_components_matches_breadth_first_search(g):
     assert connected_components(g) == reference_components(g)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_random_multigraph_rejects_edges_without_two_vertices(n):
+    # every draw on one vertex is a self-loop, so sampling would never end;
+    # it raises before drawing, leaving the generator's stream where it was
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="at least two vertices"):
+        random_multigraph(rng, n, 1)
+    assert rng.getstate() == state
+    assert random_multigraph(rng, n, 0).m == 0
+
+
 def test_contraction_map_composes():
     g = path_graph(4)
     h1, m1 = merge(g, (0, 1))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kcut.graph import Partition
 from kcut.oracles import brute_min_kcut
-from kcut.packing import crossing_edges, greedy_tree_packing, is_tight
+from kcut.packing import crossing_edges, greedy_tree_packing, is_tight, packing_rounds
 from kcut.tree import RootedTree
 from helpers import (
     complete_graph,
@@ -90,6 +90,38 @@ def test_replay_runs_kruskal_once_per_cycle_round(monkeypatch):
     assert len(calls) == 4
 
 
+def test_rounds_drawn_one_at_a_time_are_the_packing(monkeypatch):
+    # a round drawn from the generator runs at most one Kruskal, and the
+    # first `count` rounds are greedy_tree_packing's trees, whose loads are
+    # counted from them; long counts run into the replayed cycle
+    import kcut.packing
+    kruskal = []
+    real = kcut.packing.union_find
+
+    def counted(n, pairs):
+        kruskal.append(n)
+        return real(n, pairs)
+
+    monkeypatch.setattr(kcut.packing, "union_find", counted)
+    rng = random.Random(30)
+    replayed = 0
+    for _ in range(40):
+        g = random_connected_multigraph(rng, rng.randrange(1, 9), rng.randrange(0, 10))
+        count = rng.randrange(1, 150)
+        want, loads = reference_tree_packing(g, count)
+        kruskal.clear()
+        rounds = packing_rounds(g)
+        drawn = []
+        for r in range(count):
+            drawn.append(next(rounds))
+            assert len(kruskal) <= r + 1  # no round is packed before it is drawn
+        assert drawn == want
+        replayed += len(kruskal) < count
+        pack = greedy_tree_packing(g, count)
+        assert list(pack.trees) == drawn and pack.loads == loads
+    assert replayed >= 10
+
+
 def test_single_vertex_packs_shared_empty_trees():
     # no edges, so no minimum load to normalize by
     pack = greedy_tree_packing(from_pairs(1, []), 5)
@@ -112,6 +144,9 @@ def test_equal_loads_break_ties_by_id_not_by_last_order():
 def test_packing_rejects_disconnected():
     with pytest.raises(ValueError):
         greedy_tree_packing(from_pairs(4, [(0, 1), (2, 3)]), 1)
+    rounds = packing_rounds(from_pairs(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError):  # checked when the first round is drawn
+        next(rounds)
 
 
 def test_packing_rejects_empty_graph():

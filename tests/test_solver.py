@@ -268,8 +268,10 @@ class TestGomoryHuBound:
         assert [a for a, _ in bounded] == [a for a, _ in plain]
         for (_, with_bound), (_, without) in zip(bounded, plain):
             assert with_bound["trees_evaluated"] <= without["trees_evaluated"]
-            if with_bound["trees_packed"]:
-                assert with_bound["packed_trees"] == without["packed_trees"]
+            # the bounded stage stops drawing rounds where it stops cutting
+            assert with_bound["trees_packed"] <= without["trees_packed"]
+            drawn = with_bound["packed_trees"]
+            assert drawn == without["packed_trees"][:len(drawn)]
         assert bounded[-1][1]["sparsified_cells"] == 1
         assert bounded[-1][1]["lower_bound"] is None  # it bounds the contracted stage only
         assert (bounded[-1][1]["trees_evaluated"], plain[-1][1]["trees_evaluated"]) == (1, 2)
@@ -292,14 +294,17 @@ class TestLazyRooting:
         return rooted
 
     @pytest.mark.parametrize("sizes, links, k, cut", [
-        ((7, 7), 2, 2, 1),  # the first tree's cut meets the bound: 13 trees are never cut
-        ((6, 6, 5), 2, 3, 30),  # every distinct tree is cut
+        ((7, 7), 2, 2, 1),  # the first tree's cut meets the bound: no second round is drawn
+        ((6, 6, 5), 2, 3, 30),  # every round is drawn and every distinct tree is cut
     ])
     def test_only_the_cut_trees_are_rooted(self, monkeypatch, sizes, links, k, cut):
         rooted = self.rootings(monkeypatch)
         _, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques(sizes, links), k)
-        assert len(rooted) == stats["trees_evaluated"] == cut
-        assert len(stats["packed_trees"]) >= cut
+        assert len(rooted) == stats["trees_evaluated"] == len(stats["packed_trees"]) == cut
+        # a stage whose cut met the bound (certified) stopped drawing there,
+        # here at round 1; the other drew all tree_count rounds
+        rounds = cut if stats["certified"] else tree_count(k, sum(sizes))
+        assert stats["trees_packed"] == rounds
 
     def test_no_tree_is_packed_when_the_bound_settles_the_stage(self, monkeypatch):
         # C8 at k=2: the incumbent 2 meets the Gomory-Hu bound 2, so the
@@ -604,10 +609,10 @@ class TestKnownDefects:
         assert treecut.tree_cut(g, t, 63, 3, TrialConfig(trials=trials)).value == \
             brute_tree_kcut(g, t, 3).value
 
-    @pytest.mark.xfail(reason="D5: KT contracts the stage below k vertices across the cut")
     def test_d5_kt_contracts_across_a_sparse_cut(self, monkeypatch):
         monkeypatch.setattr(solver, "KT_CONSTANT", 0.01)  # the gate fires on n = 24
         sol, stats = solve_with_stats(TestPinnedTrialCells.chained_cliques((12, 12), 2), 2)
-        # returns 11 by branching: KT maps all 24 vertices to one
+        # KT maps all 24 vertices to one, so the tree stage cuts the
+        # uncontracted cell; branching alone returns 11
         assert (stats["sparsified_cells"], stats["kt_iterations"]) == (1, 1)
-        assert sol.value == 2
+        assert (sol.value, sol.provenance, stats["lower_bound"]) == (2, "treecut", None)
